@@ -28,13 +28,6 @@ from .normalize import NormalizationMethod, normalize
 #: Combination-method tokens, in canonical presentation order.
 METHODS = ("max", "sum", "map", "zsc", "product")
 
-_SUM_METHODS = {
-    "max": NormalizationMethod.MAX,
-    "sum": NormalizationMethod.SUM,
-    "map": NormalizationMethod.MAP,
-    "zsc": NormalizationMethod.ZSC,
-}
-
 
 class WeightScheme(Enum):
     UNIFORM = "uniform"
@@ -94,7 +87,12 @@ class ScoreTable:
         return tuple(self.columns)
 
 
-def _check_mask(matrix: FeatureMatrix, present: tuple[tuple[bool, ...], ...] | None):
+def _checked_mask(
+    matrix: FeatureMatrix, weights: WeightVector, present: tuple[tuple[bool, ...], ...] | None
+):
+    """The presence mask, all-True when none is given, after checking shapes."""
+    if len(weights) != len(matrix.features):
+        raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
     if present is None:
         missing = matrix.missing_cells()
         if missing:
@@ -136,19 +134,20 @@ def weighted_sum(
     then contributes sign * weight * normalized value to the platform
     score, where the sign is -1 for less-is-better features.
     """
-    if len(weights) != len(matrix.features):
-        raise DimensionError(
-            f"{len(weights)} weights for {len(matrix.features)} features"
-        )
-    present = _check_mask(matrix, present)
+    present = _checked_mask(matrix, weights, present)
 
     # column-wise normalization over present cells only
     normalized: list[dict[int, float]] = []
     for j, spec in enumerate(matrix.features):
         holders = [i for i in range(len(matrix.platforms)) if present[i][j]]
-        column = normalize(
-            [matrix.values[i][j] for i in holders], method, sample_std=sample_std
-        )
+        try:
+            column = normalize(
+                [matrix.values[i][j] for i in holders], method, sample_std=sample_std
+            )
+        except OverflowError:
+            raise DomainError(
+                f"feature {spec.name!r}: values too large for eta_{method.value}"
+            ) from None
         normalized.append(dict(zip(holders, column.values)))
 
     scores: dict[str, float] = {}
@@ -172,11 +171,7 @@ def weighted_product(
     Values must be strictly positive; less-is-better features get negative
     exponents, so larger raw values shrink the score.
     """
-    if len(weights) != len(matrix.features):
-        raise DimensionError(
-            f"{len(weights)} weights for {len(matrix.features)} features"
-        )
-    present = _check_mask(matrix, present)
+    present = _checked_mask(matrix, weights, present)
 
     scores: dict[str, float] = {}
     for i, platform in enumerate(matrix.platforms):
@@ -215,6 +210,6 @@ def score_table(
             columns[method] = weighted_product(matrix, weights, present)
         else:
             columns[method] = weighted_sum(
-                matrix, weights, _SUM_METHODS[method], present, sample_std=sample_std
+                matrix, weights, NormalizationMethod(method), present, sample_std=sample_std
             )
     return ScoreTable(platforms=matrix.platforms, columns=columns)

@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Subcommands wire the full pipeline together: parse the feature matrix
-and config, normalize and aggregate into scores, classify autonomy
-levels, build autonomy coordinates, and rank. Output is a human table
-by default; csv and jsonl emit machine-readable rows (6 decimals).
+Each subcommand runs the pipeline (parse, score, classify, rank) and
+returns its results once, as an Output: a csv header with typed rows,
+jsonl objects where their shape differs from the rows, and a table
+builder. render() alone knows the formats: 6 decimals in csv and jsonl,
+2 in tables, and null in jsonl for a non-finite number.
 
-All behavior is driven by files and flags; given identical inputs every
-command produces byte-identical output. Set NCAP_NO_COLOR to suppress
-ANSI styling (styling is only applied on a tty anyway).
+Given identical inputs every command produces byte-identical output.
+Set NCAP_NO_COLOR to suppress ANSI styling (only applied on a tty).
 """
 
 from __future__ import annotations
@@ -16,243 +16,169 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .aggregate import METHODS, ScoreTable, WeightVector, score_table
 from .errors import ConfigError, FormatError, NcapError
-from .geometry import NcapCoordinate, coordinate_plot_data, distance_report
+from .geometry import PLOT_HEADER, NcapCoordinate, distance_report
 from .ingest import (
     EvalConfig,
     MissingValuePolicy,
     load_config,
     parse_feature_matrix,
+    read_utf8,
     resolve_missing,
 )
 from .level import AutonomyLevel, classify
 from .ranking import consensus_report, rank_table
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything one command invocation needs, validated up front."""
+class Output(NamedTuple):
+    """One command's results, ready for any output format."""
 
-    command: str
-    matrix: Path | None
-    scores: Path | None
-    config: Path | None
-    methods: tuple[str, ...]
-    weights: str  # "uniform" | "config"
-    missing: MissingValuePolicy | None
-    fmt: str  # "table" | "csv" | "jsonl"
-    out: Path | None
-
-    def __post_init__(self):
-        if not self.methods:
-            raise ConfigError("at least one combination method is required")
-        for path in (self.matrix, self.scores, self.config):
-            if path is not None and not path.is_file():
-                raise ConfigError(f"input file not found: {path}")
+    header: list[str]
+    rows: list[list]  # str, int, float or bool cells, one per header column
+    table: Callable[[], str] | None = None  # None: the command has no table format
+    jsonl: Callable[[], list[dict]] | None = None  # None: one object per row
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        manifest = _manifest_from_args(args)
-        output = _COMMANDS[manifest.command](manifest)
-    except NcapError as exc:
+        _check_inputs(args)
+        text = render(args.fmt, args.run(args))
+        if args.out is not None:
+            args.out.write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except (NcapError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    if manifest.out is not None:
-        manifest.out.write_text(output, encoding="utf-8")
-    else:
-        sys.stdout.write(output)
     return 0
 
 
 # ---------------------------------------------------------------- commands
 
 
-def cmd_score(manifest: RunManifest) -> str:
+def cmd_score(args: argparse.Namespace) -> Output:
     """Score every platform under each requested method, with ranks."""
-    config = load_config(manifest.config)
-    scores = _pipeline_scores(manifest, config)
-    ranks = rank_table(scores.columns)
-    if manifest.fmt == "csv":
-        rows = [["platform", "method", "score", "rank"]]
-        for method in scores.methods:
-            for platform in scores.platforms:
-                rows.append(
-                    [
-                        platform,
-                        method,
-                        _fmt6(scores.columns[method][platform]),
-                        str(ranks.columns[method][platform]),
-                    ]
-                )
-        return _csv_text(rows)
-    if manifest.fmt == "jsonl":
-        return _jsonl(
+    scores = _input_scores(args)
+    columns, methods = scores.columns, scores.methods
+    ranks = rank_table(columns).columns
+    return Output(
+        header=["platform", "method", "score", "rank"],
+        rows=[[p, m, columns[m][p], ranks[m][p]] for m in methods for p in scores.platforms],
+        table=lambda: _grid(
+            "platform", scores.platforms, methods,
+            lambda p, m: f"{_decimals(columns[m][p], 2)} ({ranks[m][p]})",
+        ),
+        jsonl=lambda: [
             {
-                "platform": platform,
-                "scores": {m: _round6(scores.columns[m][platform]) for m in scores.methods},
-                "ranks": {m: ranks.columns[m][platform] for m in scores.methods},
+                "platform": p,
+                "scores": {m: columns[m][p] for m in methods},
+                "ranks": {m: ranks[m][p] for m in methods},
             }
-            for platform in scores.platforms
-        )
-    header = ["platform", *scores.methods]
-    body = [
-        [platform]
-        + [
-            f"{_fmt2(scores.columns[m][platform])} ({ranks.columns[m][platform]})"
-            for m in scores.methods
-        ]
-        for platform in scores.platforms
-    ]
-    return _table(header, body)
-
-
-def cmd_level(manifest: RunManifest) -> str:
-    """Classify each configured platform's autonomy level."""
-    config = load_config(manifest.config)
-    if not config.profiles:
-        raise ConfigError("config declares no capability profiles")
-    platforms = list(config.profiles)
-    if manifest.matrix is not None:
-        matrix = parse_feature_matrix(manifest.matrix, config)
-        platforms = list(matrix.platforms)
-    levels = _levels_for(platforms, config)
-    if manifest.fmt == "csv":
-        rows = [["platform", "level"]]
-        rows += [[p, str(levels[p].value)] for p in platforms]
-        return _csv_text(rows)
-    if manifest.fmt == "jsonl":
-        return _jsonl(
-            {"platform": p, "level": levels[p].value, "warnings": list(levels[p].warnings)}
-            for p in platforms
-        )
-    body = []
-    for p in platforms:
-        note = "; ".join(levels[p].warnings)
-        body.append([p, str(levels[p].value), note])
-    return _table(["platform", "level", "notes"], body)
-
-
-def cmd_distance(manifest: RunManifest) -> str:
-    """Absolute and reference-relative autonomy distances per method."""
-    config = load_config(manifest.config)
-    scores = _input_scores(manifest, config)
-    coords = _coordinates(scores, config)
-    reports = {method: distance_report(coords[method]) for method in scores.methods}
-    if manifest.fmt == "csv":
-        rows = [["platform", "method", "absolute", "relative", "is_reference"]]
-        for method in scores.methods:
-            report = reports[method]
-            for platform in scores.platforms:
-                rows.append(
-                    [
-                        platform,
-                        method,
-                        _fmt6(report.absolute[platform]),
-                        _fmt6(report.relative[platform]),
-                        str(int(platform == report.reference)),
-                    ]
-                )
-        return _csv_text(rows)
-    if manifest.fmt == "jsonl":
-        return _jsonl(
-            {
-                "platform": platform,
-                "method": method,
-                "absolute": _round6(reports[method].absolute[platform]),
-                "relative": _round6(reports[method].relative[platform]),
-                "is_reference": platform == reports[method].reference,
-            }
-            for method in scores.methods
-            for platform in scores.platforms
-        )
-    ref_rows = [[m, reports[m].reference] for m in scores.methods]
-    header = ["platform", *scores.methods]
-    body = [
-        [platform] + [_fmt2(reports[m].relative[platform]) for m in scores.methods]
-        for platform in scores.platforms
-    ]
-    return (
-        _table(["method", "reference"], ref_rows)
-        + "\nrelative autonomy distance to the reference:\n"
-        + _table(header, body)
+            for p in scores.platforms
+        ],
     )
 
 
-def cmd_plotdata(manifest: RunManifest) -> str:
+def cmd_level(args: argparse.Namespace) -> Output:
+    """Classify each configured platform's autonomy level."""
+    config = load_config(args.config)
+    if not config.profiles:
+        raise ConfigError("config declares no capability profiles")
+    platforms = list(config.profiles)
+    if args.matrix is not None:
+        platforms = list(parse_feature_matrix(args.matrix, config).platforms)
+    levels = _levels_for(platforms, config)
+    return Output(
+        header=["platform", "level"],
+        rows=[[p, levels[p].value] for p in platforms],
+        table=lambda: _table(
+            ["platform", "level", "notes"],
+            [[p, str(levels[p].value), "; ".join(levels[p].warnings)] for p in platforms],
+        ),
+        jsonl=lambda: [
+            {"platform": p, "level": levels[p].value, "warnings": list(levels[p].warnings)}
+            for p in platforms
+        ],
+    )
+
+
+def cmd_distance(args: argparse.Namespace) -> Output:
+    """Absolute and reference-relative autonomy distances per method."""
+    scores, coords = _coordinates(args)
+    reports = {method: distance_report(points) for method, points in coords.items()}
+    return Output(
+        header=["platform", "method", "absolute", "relative", "is_reference"],
+        rows=[
+            [p, m, report.absolute[p], report.relative[p], p == report.reference]
+            for m, report in reports.items()
+            for p in scores.platforms
+        ],
+        table=lambda: (
+            _table(["method", "reference"], [[m, r.reference] for m, r in reports.items()])
+            + "\nrelative autonomy distance to the reference:\n"
+            + _grid(
+                "platform", scores.platforms, scores.methods,
+                lambda p, m: _decimals(reports[m].relative[p], 2),
+            )
+        ),
+    )
+
+
+def cmd_plotdata(args: argparse.Namespace) -> Output:
     """Export <level, performance> coordinates for external plotting."""
-    config = load_config(manifest.config)
-    scores = _input_scores(manifest, config)
-    coords = _coordinates(scores, config)
-    ordered = [c for method in scores.methods for c in coords[method]]
-    return coordinate_plot_data(ordered)
+    _, coords = _coordinates(args)
+    return Output(
+        header=PLOT_HEADER.split(","),
+        rows=[[c.platform, c.method, c.x, c.y] for points in coords.values() for c in points],
+    )
 
 
-def cmd_compare(manifest: RunManifest) -> str:
+def cmd_compare(args: argparse.Namespace) -> Output:
     """Cross-method rank agreement: tau-b matrix and unanimity flags."""
-    if manifest.scores is not None:
-        scores = _load_score_csv(manifest.scores, manifest.methods)
-    else:
-        config = load_config(manifest.config)
-        scores = _pipeline_scores(manifest, config)
-    stats = consensus_report(rank_table(scores.columns))
-    if manifest.fmt == "csv":
-        rows = [["method_a", "method_b", "tau"]]
-        rows += [
-            [a, b, _fmt6(stats.tau[(a, b)])]
-            for a in stats.methods
-            for b in stats.methods
-        ]
-        return _csv_text(rows)
-    if manifest.fmt == "jsonl":
-        lines = [
-            {"method_a": a, "method_b": b, "tau": _round6(stats.tau[(a, b)])}
-            for a in stats.methods
-            for b in stats.methods
-        ]
-        lines.append(
-            {"unanimous": {str(r): list(ps) for r, ps in stats.unanimous.items()}}
-        )
-        return _jsonl(lines)
-    header = ["tau", *stats.methods]
-    body = [
-        [a] + [_fmt2(stats.tau[(a, b)]) for b in stats.methods] for a in stats.methods
-    ]
-    out = _table(header, body)
-    if stats.unanimous:
-        out += "unanimous ranks:\n"
-        for rank, platforms in sorted(stats.unanimous.items()):
-            out += f"  rank {rank}: {', '.join(platforms)}\n"
-    else:
-        out += "unanimous ranks: none\n"
-    return out
+    stats = consensus_report(rank_table(_input_scores(args).columns))
+    methods = stats.methods
+    header = ["method_a", "method_b", "tau"]
+    rows = [[a, b, stats.tau[(a, b)]] for a in methods for b in methods]
 
+    def table() -> str:
+        out = _grid("tau", methods, methods, lambda a, b: _decimals(stats.tau[(a, b)], 2))
+        if not stats.unanimous:
+            return out + "unanimous ranks: none\n"
+        lines = [f"  rank {r}: {', '.join(ps)}\n" for r, ps in sorted(stats.unanimous.items())]
+        return out + "unanimous ranks:\n" + "".join(lines)
 
-_COMMANDS = {
-    "score": cmd_score,
-    "level": cmd_level,
-    "distance": cmd_distance,
-    "plotdata": cmd_plotdata,
-    "compare": cmd_compare,
-}
+    return Output(
+        header=header,
+        rows=rows,
+        table=table,
+        jsonl=lambda: [
+            *(dict(zip(header, row)) for row in rows),
+            {"unanimous": {str(r): list(ps) for r, ps in stats.unanimous.items()}},
+        ],
+    )
 
 
 # ---------------------------------------------------------------- pipeline
 
 
-def _pipeline_scores(manifest: RunManifest, config: EvalConfig) -> ScoreTable:
-    matrix = parse_feature_matrix(manifest.matrix, config)
-    policy = manifest.missing or config.missing or MissingValuePolicy.ERROR
+def _input_scores(args: argparse.Namespace, config: EvalConfig | None = None) -> ScoreTable:
+    """The --scores file if one is given, else the matrix scored under the config."""
+    if args.scores is not None:
+        return _load_score_csv(args.scores, args.methods)
+    if config is None:
+        config = load_config(args.config)
+    matrix = parse_feature_matrix(args.matrix, config)
+    policy = MissingValuePolicy(args.missing or config.missing or "error")
     resolved = resolve_missing(matrix, policy)
-    if manifest.weights == "config":
+    if args.weights == "config":
         if config.weights is None:
             raise ConfigError("--weights config requested but the config has no weights")
         weights = WeightVector.user_defined(
@@ -260,50 +186,38 @@ def _pipeline_scores(manifest: RunManifest, config: EvalConfig) -> ScoreTable:
         )
     else:
         weights = WeightVector.uniform(len(matrix.features))
-    return score_table(resolved, weights, manifest.methods)
-
-
-def _input_scores(manifest: RunManifest, config: EvalConfig) -> ScoreTable:
-    if manifest.scores is not None:
-        return _load_score_csv(manifest.scores, manifest.methods)
-    return _pipeline_scores(manifest, config)
+    return score_table(resolved, weights, args.methods)
 
 
 def _load_score_csv(path: Path, methods: tuple[str, ...]) -> ScoreTable:
     """Read a score table back from cmd_score's csv output (or any file
     with platform,method,score columns)."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        needed = {"platform", "method", "score"}
-        if not needed.issubset(fields):
+    reader = csv.DictReader(io.StringIO(read_utf8(path, FormatError)))
+    if not {"platform", "method", "score"}.issubset(reader.fieldnames or []):
+        raise FormatError(f"score file {path} must have columns platform,method,score")
+    platforms: dict[str, None] = {}  # insertion-ordered set
+    columns: dict[str, dict[str, float]] = {m: {} for m in methods}
+    for row in reader:
+        method = row["method"]
+        if method not in columns:
+            continue
+        platform = row["platform"]
+        if platform in columns[method]:
             raise FormatError(
-                f"score file {path} must have columns platform,method,score"
+                f"score file {path}: duplicate row for ({platform!r}, {method!r})"
             )
-        platforms: list[str] = []
-        columns: dict[str, dict[str, float]] = {m: {} for m in methods}
-        for row in reader:
-            method = row["method"]
-            if method not in columns:
-                continue
-            platform = row["platform"]
-            if platform not in platforms:
-                platforms.append(platform)
-            try:
-                columns[method][platform] = float(row["score"])
-            except ValueError:
-                raise FormatError(
-                    f"score file {path}: bad score {row['score']!r} "
-                    f"for ({platform!r}, {method!r})"
-                ) from None
+        platforms[platform] = None
+        try:
+            columns[method][platform] = float(row["score"])
+        except ValueError:
+            raise FormatError(
+                f"score file {path}: bad score {row['score']!r} "
+                f"for ({platform!r}, {method!r})"
+            ) from None
     for method, column in columns.items():
-        if set(column) != set(platforms):
-            raise FormatError(
-                f"score file {path} has no complete {method!r} column"
-            )
-    ordered = {
-        m: {p: columns[m][p] for p in platforms} for m in methods
-    }
+        if column.keys() != platforms.keys():
+            raise FormatError(f"score file {path} has no complete {method!r} column")
+    ordered = {m: {p: columns[m][p] for p in platforms} for m in methods}
     return ScoreTable(platforms=tuple(platforms), columns=ordered)
 
 
@@ -318,60 +232,73 @@ def _levels_for(platforms: list[str], config: EvalConfig) -> dict[str, AutonomyL
 
 
 def _coordinates(
-    scores: ScoreTable, config: EvalConfig
-) -> dict[str, list[NcapCoordinate]]:
+    args: argparse.Namespace,
+) -> tuple[ScoreTable, dict[str, list[NcapCoordinate]]]:
+    """The input scores and, per method, each platform's <level, score> point."""
+    config = load_config(args.config)
+    scores = _input_scores(args, config)
     levels = _levels_for(list(scores.platforms), config)
-    return {
-        method: [
-            NcapCoordinate(
-                platform=p,
-                x=float(levels[p].value),
-                y=scores.columns[method][p],
-                method=method,
-            )
+    return scores, {
+        m: [
+            NcapCoordinate(p, float(levels[p].value), scores.columns[m][p], m)
             for p in scores.platforms
         ]
-        for method in scores.methods
+        for m in scores.methods
     }
 
 
 # ---------------------------------------------------------------- rendering
 
 
-def _fmt2(x: float) -> str:
-    v = round(x, 2)
-    if v == 0:
-        v = 0.0  # avoid "-0.00"
-    return f"{v:.2f}"
+def render(fmt: str, output: Output) -> str:
+    """Format a command's Output as table, csv or jsonl text."""
+    if fmt == "table":
+        return output.table()
+    if fmt == "csv":
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(output.header)
+        writer.writerows([_csv_cell(cell) for cell in row] for row in output.rows)
+        return out.getvalue()
+    rows = (dict(zip(output.header, row)) for row in output.rows)
+    objects = output.jsonl() if output.jsonl else rows
+    return "".join(
+        json.dumps(_json_value(obj), sort_keys=True, allow_nan=False) + "\n"
+        for obj in objects
+    )
 
 
-def _fmt6(x: float) -> str:
-    v = round(x, 6)
-    if v == 0:
-        v = 0.0
-    return f"{v:.6f}"
+def _decimals(x: float, places: int) -> str:
+    v = round(x, places)
+    return f"{0.0 if v == 0 else v:.{places}f}"  # no "-0.00"
 
 
-def _round6(x: float) -> float:
-    v = round(x, 6)
-    return 0.0 if v == 0 else v
+def _csv_cell(cell) -> str:
+    if isinstance(cell, bool):
+        return str(int(cell))
+    if isinstance(cell, float):
+        return _decimals(cell, 6)
+    return str(cell)
 
 
-def _csv_text(rows: list[list[str]]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerows(rows)
-    return out.getvalue()
-
-
-def _jsonl(objs) -> str:
-    return "".join(json.dumps(obj, sort_keys=True) + "\n" for obj in objs)
+def _json_value(value):
+    """Floats rounded to 6 decimals, non-finite ones as null, also inside dicts."""
+    if isinstance(value, float):
+        return float(_decimals(value, 6)) if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(v) for key, v in value.items()}
+    return value
 
 
 def _style(text: str, code: str) -> str:
     if os.environ.get("NCAP_NO_COLOR") or not sys.stdout.isatty():
         return text
     return f"\x1b[{code}m{text}\x1b[0m"
+
+
+def _grid(corner: str, keys, columns, cell: Callable[[str, str], str]) -> str:
+    """A table with a row per key and a column per column name."""
+    return _table([corner, *columns], [[k] + [cell(k, c) for c in columns] for k in keys])
 
 
 def _table(header: list[str], body: list[list[str]]) -> str:
@@ -398,24 +325,14 @@ def _methods_arg(value: str) -> tuple[str, ...]:
     return tokens
 
 
-def _add_common(sub: argparse.ArgumentParser, *, matrix: str, scores: bool, fmt: bool):
-    if matrix:
-        sub.add_argument("--matrix", type=Path, required=(matrix == "required"),
-                         help="feature matrix CSV (platform rows, feature columns)")
-    if scores:
-        sub.add_argument("--scores", type=Path,
-                         help="precomputed score CSV (as emitted by 'score --format csv')")
-    sub.add_argument("--config", type=Path, help="evaluation config YAML")
-    sub.add_argument("--methods", type=_methods_arg, default=METHODS,
-                     help=f"comma-separated combination methods (default {','.join(METHODS)})")
-    sub.add_argument("--weights", choices=("uniform", "config"), default="uniform",
-                     help="uniform 1/N weights or the config's weight vector")
-    sub.add_argument("--missing", choices=tuple(p.value for p in MissingValuePolicy),
-                     help="missing-value policy (default: config setting, else error)")
-    if fmt:
-        sub.add_argument("--format", dest="fmt", choices=("table", "csv", "jsonl"),
-                         default="table", help="output format")
-    sub.add_argument("--out", type=Path, help="write output to a file instead of stdout")
+# name, function, help, whether --matrix is required, has --scores, has --format
+_SUBCOMMANDS = (
+    ("score", cmd_score, "component-performance scores with ranks", True, False, True),
+    ("level", cmd_level, "autonomy levels from capability profiles", False, False, True),
+    ("distance", cmd_distance, "absolute and relative autonomy distances", False, True, True),
+    ("plotdata", cmd_plotdata, "autonomy-coordinate CSV export", False, True, False),
+    ("compare", cmd_compare, "cross-method rank agreement", False, True, True),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -424,47 +341,42 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Score, rank, and compare platform autonomy from feature data.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    score = subs.add_parser("score", help="component-performance scores with ranks")
-    _add_common(score, matrix="required", scores=False, fmt=True)
-
-    level = subs.add_parser("level", help="autonomy levels from capability profiles")
-    _add_common(level, matrix="optional", scores=False, fmt=True)
-
-    distance = subs.add_parser("distance", help="absolute and relative autonomy distances")
-    _add_common(distance, matrix="optional", scores=True, fmt=True)
-
-    plotdata = subs.add_parser("plotdata", help="autonomy-coordinate CSV export")
-    _add_common(plotdata, matrix="optional", scores=True, fmt=False)
-
-    compare = subs.add_parser("compare", help="cross-method rank agreement")
-    _add_common(compare, matrix="optional", scores=True, fmt=True)
-
+    for name, run, help_text, matrix_required, scores, fmt in _SUBCOMMANDS:
+        sub = subs.add_parser(name, help=help_text)
+        # scores and fmt for commands without those flags; an option's own default wins
+        sub.set_defaults(run=run, scores=None, fmt="csv")
+        sub.add_argument("--matrix", type=Path, required=matrix_required,
+                         help="feature matrix CSV (platform rows, feature columns)")
+        if scores:
+            sub.add_argument("--scores", type=Path,
+                             help="precomputed score CSV (as emitted by 'score --format csv')")
+        sub.add_argument("--config", type=Path, help="evaluation config YAML")
+        sub.add_argument("--methods", type=_methods_arg, default=METHODS,
+                         help=f"comma-separated combination methods (default {','.join(METHODS)})")
+        sub.add_argument("--weights", choices=("uniform", "config"), default="uniform",
+                         help="uniform 1/N weights or the config's weight vector")
+        sub.add_argument("--missing", choices=tuple(p.value for p in MissingValuePolicy),
+                         help="missing-value policy (default: config setting, else error)")
+        if fmt:
+            sub.add_argument("--format", dest="fmt", choices=("table", "csv", "jsonl"),
+                             default="table", help="output format")
+        sub.add_argument("--out", type=Path, help="write output to a file instead of stdout")
     return parser
 
 
-def _manifest_from_args(args: argparse.Namespace) -> RunManifest:
-    matrix = getattr(args, "matrix", None)
-    scores = getattr(args, "scores", None)
-    config = getattr(args, "config", None)
-    if args.command in ("distance", "plotdata", "compare") and matrix is None and scores is None:
-        raise ConfigError(f"{args.command} needs --matrix or --scores")
-    if args.command in ("score", "level", "distance", "plotdata") and config is None:
-        raise ConfigError(f"{args.command} needs --config")
-    if args.command == "compare" and scores is None and config is None:
+def _check_inputs(args: argparse.Namespace) -> None:
+    """Cross-flag requirements argparse cannot express, and input files exist."""
+    command = args.command
+    # level reads its platforms from the config; score's --matrix is required
+    if command != "level" and args.matrix is None and args.scores is None:
+        raise ConfigError(f"{command} needs --matrix or --scores")
+    if command in ("score", "level", "distance", "plotdata") and args.config is None:
+        raise ConfigError(f"{command} needs --config")
+    if command == "compare" and args.scores is None and args.config is None:
         raise ConfigError("compare needs --config when scoring from a matrix")
-    missing = MissingValuePolicy(args.missing) if args.missing else None
-    return RunManifest(
-        command=args.command,
-        matrix=matrix,
-        scores=scores,
-        config=config,
-        methods=tuple(args.methods),
-        weights=args.weights,
-        missing=missing,
-        fmt=getattr(args, "fmt", "csv"),
-        out=args.out,
-    )
+    for path in (args.matrix, args.scores, args.config):
+        if path is not None and not path.is_file():
+            raise ConfigError(f"input file not found: {path}")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,8 @@ origin; relative distance compares a platform against the strongest
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -106,11 +108,11 @@ def coordinate_plot_data(coords: Iterable[NcapCoordinate]) -> str:
 
     Fixed 6-decimal precision, input order preserved, header always present.
     """
-    lines = [PLOT_HEADER]
-    lines.extend(
-        f"{c.platform},{c.method},{c.x:.6f},{c.y:.6f}" for c in coords
-    )
-    return "\n".join(lines) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(PLOT_HEADER.split(","))
+    writer.writerows([c.platform, c.method, f"{c.x:.6f}", f"{c.y:.6f}"] for c in coords)
+    return out.getvalue()
 
 
 def _check_single_method(coords: Sequence[NcapCoordinate]) -> None:

@@ -27,13 +27,35 @@ import yaml
 from .errors import (
     ConfigError,
     DegenerateColumnError,
+    DomainError,
     EncodingError,
     FormatError,
     MissingValueError,
+    NcapError,
 )
 from .level import CapabilityProfile
 
 MISSING_TOKENS = frozenset({"", "-", "N/A"})
+
+
+def read_utf8(path: str | Path, error: type[NcapError]) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def _finite(value) -> float | None:
+    """A config value as a finite float, or None when it is not a plain
+    number. YAML booleans load as Python ints, but they are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        return None
+    return number if math.isfinite(number) else None
 
 
 class Direction(Enum):
@@ -62,12 +84,16 @@ class FeatureSpec:
 
     def __post_init__(self):
         if self.encoding is not None:
+            numbers = {}
             for token, value in self.encoding.items():
-                if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+                number = _finite(value)
+                if number is None or number <= 0:
                     raise ConfigError(
                         f"feature {self.name!r}: encoding for token {token!r} "
                         f"must be a positive finite number, got {value!r}"
                     )
+                numbers[token] = number
+            object.__setattr__(self, "encoding", numbers)
 
 
 @dataclass(frozen=True)
@@ -155,7 +181,7 @@ class EvalConfig:
 def load_config(path: str | Path) -> EvalConfig:
     """Load and validate an evaluation config from a YAML file."""
     try:
-        raw = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
+        raw = yaml.safe_load(read_utf8(path, ConfigError))
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -175,7 +201,8 @@ def load_config(path: str | Path) -> EvalConfig:
         if absent:
             raise ConfigError(f"weights missing for features: {sorted(absent)}")
         for key, value in weights.items():
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+            number = _finite(value)
+            if number is None or number < 0:
                 raise ConfigError(f"weight for {key!r} must be a non-negative number")
         weights = {key: float(value) for key, value in weights.items()}
 
@@ -212,7 +239,7 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
         if encoding is not None:
             if not isinstance(encoding, dict):
                 raise ConfigError(f"feature {entry['name']!r}: encoding must be a mapping")
-            encoding = {str(token): float(value) for token, value in encoding.items()}
+            encoding = {str(token): value for token, value in encoding.items()}
         specs.append(
             FeatureSpec(
                 name=str(entry["name"]),
@@ -269,8 +296,7 @@ def parse_feature_matrix(source: str | Path, config: EvalConfig) -> FeatureMatri
     resolved through the feature's encoding map; "-", "N/A", and empty
     cells become missing values.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    return parse_feature_matrix_text(text, config)
+    return parse_feature_matrix_text(read_utf8(source, FormatError), config)
 
 
 def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
@@ -374,7 +400,12 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
     means = []
     for j in range(n_features):
         found = [cell for cell in matrix.column(j) if cell is not None]
-        means.append(math.fsum(found) / len(found))
+        try:
+            means.append(math.fsum(found) / len(found))
+        except OverflowError:
+            raise DomainError(
+                f"feature {matrix.features[j].name!r}: column mean overflows a float"
+            ) from None
     filled = tuple(
         tuple(means[j] if cell is None else cell for j, cell in enumerate(row))
         for row in matrix.values

@@ -1,5 +1,6 @@
 import csv
 import io
+import json
 
 import pytest
 
@@ -304,8 +305,6 @@ def test_missing_input_file_is_single_line_error(capsys):
 
 
 def test_score_jsonl_output(benchmark_matrix_path, benchmark_config_path, capsys):
-    import json
-
     code, out, _ = run(
         capsys,
         "score", "--matrix", str(benchmark_matrix_path),
@@ -320,8 +319,6 @@ def test_score_jsonl_output(benchmark_matrix_path, benchmark_config_path, capsys
 
 
 def test_distance_jsonl_output(tmp_path, benchmark_config_path, capsys):
-    import json
-
     scores = write_scores_csv(tmp_path / "s.csv", {"sum": UNIFORM_SCORES["sum"]})
     code, out, _ = run(
         capsys,
@@ -335,8 +332,6 @@ def test_distance_jsonl_output(tmp_path, benchmark_config_path, capsys):
 
 
 def test_compare_jsonl_output(tmp_path, capsys):
-    import json
-
     scores = write_scores_csv(tmp_path / "s.csv", UNIFORM_SCORES)
     code, out, _ = run(
         capsys, "compare", "--scores", str(scores), "--format", "jsonl"
@@ -389,3 +384,114 @@ def test_table_styling_respects_no_color(
     assert main(argv) == 0
     plain = capsys.readouterr().out
     assert "\x1b[" not in plain
+
+
+# ------------------------------------------------------ strict json lines
+
+
+def reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_compare_jsonl_undefined_tau_is_null(tmp_path, capsys):
+    # a constant score column has no ordering, so its tau-b is undefined
+    scores = write_scores_csv(
+        tmp_path / "s.csv",
+        {"max": {"p0": 1.0, "p1": 1.0, "p2": 1.0}, "sum": {"p0": 1.0, "p1": 2.0, "p2": 3.0}},
+    )
+    code, out, _ = run(
+        capsys, "compare", "--scores", str(scores), "--methods", "max,sum", "--format", "jsonl"
+    )
+    assert code == 0
+    lines = [json.loads(line, parse_constant=reject_constant) for line in out.splitlines()]
+    taus = {(r["method_a"], r["method_b"]): r["tau"] for r in lines[:-1]}
+    assert taus[("max", "sum")] is None and taus[("sum", "max")] is None
+    assert taus[("sum", "sum")] == 1.0
+
+
+# ------------------------------------------------------- error contract
+
+
+def _out_into_missing_dir(tmp_path, matrix, config):
+    return ["score", "--matrix", str(matrix), "--config", str(config),
+            "--out", str(tmp_path / "missing" / "out.csv")]
+
+
+def _non_utf8_config(tmp_path, matrix, config):
+    bad = tmp_path / "c.yaml"
+    bad.write_bytes(b"features:\n  - name: \xff\n")
+    return ["score", "--matrix", str(matrix), "--config", str(bad)]
+
+
+def _non_utf8_matrix(tmp_path, matrix, config):
+    bad = tmp_path / "m.csv"
+    bad.write_bytes(b"platform,a\n\xffp,1\n")
+    return ["score", "--matrix", str(bad), "--config", str(config)]
+
+
+def _non_utf8_scores(tmp_path, matrix, config):
+    bad = tmp_path / "s.csv"
+    bad.write_bytes(b"platform,method,score\n\xff,max,1\n")
+    return ["compare", "--scores", str(bad)]
+
+
+def _one_feature(tmp_path, cells, feature="direction: more_is_better"):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("platform,a\n" + "".join(f"p{i},{c}\n" for i, c in enumerate(cells)))
+    config = tmp_path / "c.yaml"
+    config.write_text(f"features:\n  - name: a\n    {feature}\n")
+    return ["score", "--matrix", str(matrix), "--config", str(config)]
+
+
+def _non_numeric_encoding(tmp_path, matrix, config):
+    feature = "direction: more_is_better\n    encoding: {X: abc}"
+    return _one_feature(tmp_path, ["X", "1"], feature)
+
+
+def _sum_overflow(tmp_path, matrix, config):
+    return _one_feature(tmp_path, ["1e308", "1.5e308"]) + ["--methods", "sum"]
+
+
+def _zsc_overflow(tmp_path, matrix, config):
+    return _one_feature(tmp_path, ["-1e308", "1.5e308"]) + ["--methods", "zsc"]
+
+
+def _mean_fill_overflow(tmp_path, matrix, config):
+    return _one_feature(tmp_path, ["1e308", "1.5e308", "-"]) + ["--missing", "mean"]
+
+
+@pytest.mark.parametrize(
+    "make_argv,error",
+    [
+        (_out_into_missing_dir, "FileNotFoundError"),
+        (_non_utf8_config, "ConfigError"),
+        (_non_utf8_matrix, "FormatError"),
+        (_non_utf8_scores, "FormatError"),
+        (_non_numeric_encoding, "ConfigError"),
+        (_sum_overflow, "DomainError"),
+        (_zsc_overflow, "DomainError"),
+        (_mean_fill_overflow, "DomainError"),
+    ],
+    ids=lambda v: v.__name__.strip("_") if callable(v) else None,
+)
+def test_failure_is_one_error_line(
+    tmp_path, capsys, benchmark_matrix_path, benchmark_config_path, make_argv, error
+):
+    argv = make_argv(tmp_path, benchmark_matrix_path, benchmark_config_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: {error}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_duplicate_score_rows_rejected(tmp_path, capsys):
+    scores = tmp_path / "s.csv"
+    scores.write_text(
+        "platform,method,score\n"
+        "p0,max,1\np1,max,2\np0,sum,1\np1,sum,2\np0,max,3\n"
+    )
+    code, _, err = run(capsys, "compare", "--scores", str(scores), "--methods", "max,sum")
+    assert code == 1
+    assert err.startswith("error: FormatError:")
+    assert "duplicate row for ('p0', 'max')" in err

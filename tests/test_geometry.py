@@ -1,3 +1,6 @@
+import csv
+import io
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -113,6 +116,14 @@ def test_plot_data_order_preserved():
     lines = coordinate_plot_data(coords).splitlines()
     assert len(lines) == 8
     assert [line.split(",")[0] for line in lines[1:]] == [c.platform for c in coords]
+
+
+def test_plot_data_quotes_platform_ids():
+    ids = ["x,y", 'say "hi"', "two\nlines", "plain"]
+    coords = [coord(p, 1.0, 0.5) for p in ids]
+    rows = list(csv.reader(io.StringIO(coordinate_plot_data(coords))))
+    assert rows[0] == ["platform", "method", "n_al", "n_cp"]
+    assert rows[1:] == [[p, "sum", "1.000000", "0.500000"] for p in ids]
 
 
 def test_distance_report_reference_row_is_zero():

@@ -12,6 +12,7 @@ from ncap import (
     FormatError,
     MissingValuePolicy,
     MissingValueError,
+    load_config,
     parse_feature_matrix_text,
     resolve_missing,
     serialize_feature_matrix,
@@ -117,6 +118,38 @@ def test_encoding_values_must_be_positive():
         FeatureSpec(name="res", direction=Direction.MORE_IS_BETTER, encoding={"HD": 0})
     with pytest.raises(ConfigError):
         FeatureSpec(name="res", direction=Direction.MORE_IS_BETTER, encoding={"HD": -5})
+
+
+def test_config_boolean_weight_rejected(tmp_path):
+    # YAML true loads as a Python bool, which is an int; it is not a weight
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "features:\n  - name: a\n    direction: more_is_better\n"
+        "weights: {a: true}\n"
+    )
+    with pytest.raises(ConfigError, match="weight for 'a'"):
+        load_config(path)
+
+
+def test_config_boolean_encoding_rejected(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "features:\n  - name: res\n    direction: more_is_better\n"
+        "    encoding: {HD: true}\n"
+    )
+    with pytest.raises(ConfigError, match="'HD'"):
+        load_config(path)
+
+
+def test_config_encoding_values_become_floats(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "features:\n  - name: res\n    direction: more_is_better\n"
+        "    encoding: {HD: 2, 4K: 8.5}\n"
+    )
+    (res,) = load_config(path).features
+    assert res.encoding == {"HD": 2.0, "4K": 8.5}
+    assert all(type(v) is float for v in res.encoding.values())
 
 
 def test_resolve_missing_column_mean():
