@@ -186,7 +186,12 @@ def weighted_product(
                     f"weighted product needs positive values; "
                     f"got {value!r} at ({platform!r}, {spec.name!r})"
                 )
-            score *= value ** (spec.direction.sign * w_eff[j])
+            try:
+                score *= value ** (spec.direction.sign * w_eff[j])
+            except OverflowError:
+                raise ProductDomainError(
+                    f"weighted product overflows at ({platform!r}, {spec.name!r}): {value!r}"
+                ) from None
         scores[platform] = score
     return scores
 

@@ -406,7 +406,22 @@ def test_compare_jsonl_undefined_tau_is_null(tmp_path, capsys):
     lines = [json.loads(line, parse_constant=reject_constant) for line in out.splitlines()]
     taus = {(r["method_a"], r["method_b"]): r["tau"] for r in lines[:-1]}
     assert taus[("max", "sum")] is None and taus[("sum", "max")] is None
+    assert taus[("max", "max")] is None
     assert taus[("sum", "sum")] == 1.0
+
+
+def test_compare_csv_tau_of_all_tied_column_with_itself_is_nan(tmp_path, capsys):
+    scores = write_scores_csv(
+        tmp_path / "s.csv",
+        {"max": {"p0": 1.0, "p1": 1.0, "p2": 1.0}, "sum": {"p0": 1.0, "p1": 2.0, "p2": 3.0}},
+    )
+    code, out, _ = run(
+        capsys, "compare", "--scores", str(scores), "--methods", "max,sum", "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "max,max,nan", "max,sum,nan", "sum,max,nan", "sum,sum,1.000000",
+    ]
 
 
 # ------------------------------------------------------- error contract
@@ -460,6 +475,11 @@ def _mean_fill_overflow(tmp_path, matrix, config):
     return _one_feature(tmp_path, ["1e308", "1.5e308", "-"]) + ["--missing", "mean"]
 
 
+def _product_subnormal(tmp_path, matrix, config):
+    feature = "direction: less_is_better"
+    return _one_feature(tmp_path, ["5e-324", "1"], feature) + ["--methods", "product"]
+
+
 @pytest.mark.parametrize(
     "make_argv,error",
     [
@@ -471,6 +491,7 @@ def _mean_fill_overflow(tmp_path, matrix, config):
         (_sum_overflow, "DomainError"),
         (_zsc_overflow, "DomainError"),
         (_mean_fill_overflow, "DomainError"),
+        (_product_subnormal, "ProductDomainError"),
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else None,
 )

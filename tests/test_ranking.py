@@ -40,6 +40,33 @@ def tau_b_oracle(x, y):
     return min(1.0, max(-1.0, tau))
 
 
+def rank_oracle(scores):
+    """Quadratic competition ranking: one plus the count of strictly better scores."""
+    values = list(scores.values())
+    return {
+        platform: 1 + sum(1 for other in values if other > score)
+        for platform, score in scores.items()
+    }
+
+
+def unanimous_oracle(ranks):
+    """Rank x platform x method scan: platforms every method puts at each rank."""
+    unanimous = {}
+    for rank in range(1, len(ranks.platforms) + 1):
+        agreed = tuple(
+            p
+            for p in ranks.platforms
+            if all(ranks.columns[m][p] == rank for m in ranks.columns)
+        )
+        if agreed:
+            unanimous[rank] = agreed
+    return unanimous
+
+
+# few distinct values, so ties are common; 0.0 and -0.0 are one score
+TIED_SCORES = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 3.0, 1e300])
+
+
 def test_rank_scores_benchmark_max_column():
     got = rank_scores(UNIFORM_SCORES["max"])
     assert got == UNIFORM_RANKS["max"]
@@ -152,11 +179,19 @@ def test_rank_invariance_under_increasing_transform(values):
     assert rank_scores(scores) == rank_scores(transformed)
 
 
+@given(st.lists(TIED_SCORES, max_size=40))
+def test_rank_scores_equals_oracle(values):
+    scores = {f"p{i}": v for i, v in enumerate(values)}
+    assert list(rank_scores(scores).items()) == list(rank_oracle(scores).items())
+
+
+# up to 60 values from a range about n wide: the merge sort recurses
+# several levels deep and both columns carry ties
 @given(
-    st.integers(min_value=2, max_value=8).flatmap(
+    st.integers(min_value=0, max_value=60).flatmap(
         lambda n: st.tuples(
-            st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n),
-            st.lists(st.integers(min_value=0, max_value=4), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
+            st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
         )
     )
 )
@@ -170,3 +205,22 @@ def test_kendall_tau_equals_oracle(pair):
         assert math.isnan(got)
     else:
         assert got == expected
+
+
+@given(
+    st.tuples(st.integers(1, 12), st.integers(2, 5)).flatmap(
+        lambda nk: st.lists(
+            st.lists(TIED_SCORES, min_size=nk[0], max_size=nk[0]), min_size=nk[1], max_size=nk[1]
+        )
+    )
+)
+def test_consensus_equals_oracle(columns):
+    table = rank_table(
+        {f"m{k}": {f"p{i}": v for i, v in enumerate(col)} for k, col in enumerate(columns)}
+    )
+    stats = consensus_report(table)
+    assert list(stats.unanimous.items()) == list(unanimous_oracle(table).items())
+    for m, column in table.columns.items():
+        itself = kendall_tau(column, column)
+        assert math.isnan(stats.tau[(m, m)]) == math.isnan(itself)
+        assert math.isnan(itself) or stats.tau[(m, m)] == 1.0
