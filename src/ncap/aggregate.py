@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, repeat
+from operator import mul, truediv
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, DomainError, MissingValueError, ProductDomainError
@@ -109,16 +111,65 @@ def _checked_mask(
     return present
 
 
-def _platform_weights(
-    weights: WeightVector, row_present: Sequence[bool], platform: str
-) -> list[float]:
-    """Effective weights for one platform; renormalized when cells are absent."""
-    if all(row_present):
-        return list(weights.weights)
-    usable = math.fsum(w for w, ok in zip(weights.weights, row_present) if ok)
-    if usable <= 0:
-        raise DomainError(f"platform {platform!r} has no weight on any present feature")
-    return [w / usable if ok else 0.0 for w, ok in zip(weights.weights, row_present)]
+def _shared(matrix: FeatureMatrix, weights: WeightVector, present):
+    """What every method shares: the signed weights sign * w, and each
+    platform's weight on its present features (None for a complete row)."""
+    signed = list(map(mul, [spec.direction.sign for spec in matrix.features], weights.weights))
+    return signed, [None if all(row) else math.fsum(compress(weights.weights, row)) for row in present]
+
+
+def _weight_rows(platforms: Sequence[str], shared):
+    """Each platform's signed effective weights, one row at a time: sign * w
+    for a complete row, else (sign * w) / usable, which has the bits of
+    sign * (w / usable). Entries of absent cells are never read."""
+    signed, usable = shared
+    for platform, total in zip(platforms, usable):
+        if total is None:
+            yield signed
+        elif total <= 0:
+            raise DomainError(f"platform {platform!r} has no weight on any present feature")
+        else:
+            yield list(map(truediv, signed, repeat(total)))
+
+
+def _sum_scores(matrix, method, present, rows, sample_std) -> dict[str, float]:
+    """Normalize each column over its present cells; each platform's score then
+    takes the next value of every column it is present in."""
+    columns = []
+    for spec, column, mask in zip(matrix.features, zip(*matrix.values), zip(*present)):
+        try:
+            normalized = normalize(list(compress(column, mask)), method, sample_std=sample_std)
+        except OverflowError:
+            raise DomainError(
+                f"feature {spec.name!r}: values too large for eta_{method.value}"
+            ) from None
+        columns.append(iter(normalized.values))
+    return {
+        platform: math.fsum(map(mul, compress(signed, row), map(next, compress(columns, row))))
+        for platform, signed, row in zip(matrix.platforms, rows, present)
+    }
+
+
+def _product_scores(matrix, present, rows) -> dict[str, float]:
+    scores: dict[str, float] = {}
+    for platform, signed, values, row in zip(matrix.platforms, rows, matrix.values, present):
+        score = 1.0
+        for spec, exponent, value, ok in zip(matrix.features, signed, values, row):
+            if not ok:
+                continue
+            if value <= 0:
+                raise ProductDomainError(
+                    f"weighted product needs positive values; "
+                    f"got {value!r} at ({platform!r}, {spec.name!r})"
+                )
+            try:
+                score *= value ** exponent
+            except OverflowError:
+                raise ProductDomainError(
+                    f"weighted product overflows at ({platform!r}, {spec.name!r}): {value!r}"
+                ) from None
+        scores[platform] = score
+    return scores
 
 
 def weighted_sum(
@@ -135,30 +186,8 @@ def weighted_sum(
     score, where the sign is -1 for less-is-better features.
     """
     present = _checked_mask(matrix, weights, present)
-
-    # column-wise normalization over present cells only
-    normalized: list[dict[int, float]] = []
-    for j, spec in enumerate(matrix.features):
-        holders = [i for i in range(len(matrix.platforms)) if present[i][j]]
-        try:
-            column = normalize(
-                [matrix.values[i][j] for i in holders], method, sample_std=sample_std
-            )
-        except OverflowError:
-            raise DomainError(
-                f"feature {spec.name!r}: values too large for eta_{method.value}"
-            ) from None
-        normalized.append(dict(zip(holders, column.values)))
-
-    scores: dict[str, float] = {}
-    for i, platform in enumerate(matrix.platforms):
-        w_eff = _platform_weights(weights, present[i], platform)
-        scores[platform] = math.fsum(
-            spec.direction.sign * w_eff[j] * normalized[j][i]
-            for j, spec in enumerate(matrix.features)
-            if present[i][j]
-        )
-    return scores
+    rows = _weight_rows(matrix.platforms, _shared(matrix, weights, present))
+    return _sum_scores(matrix, method, present, rows, sample_std)
 
 
 def weighted_product(
@@ -172,28 +201,8 @@ def weighted_product(
     exponents, so larger raw values shrink the score.
     """
     present = _checked_mask(matrix, weights, present)
-
-    scores: dict[str, float] = {}
-    for i, platform in enumerate(matrix.platforms):
-        w_eff = _platform_weights(weights, present[i], platform)
-        score = 1.0
-        for j, spec in enumerate(matrix.features):
-            if not present[i][j]:
-                continue
-            value = matrix.values[i][j]
-            if value <= 0:
-                raise ProductDomainError(
-                    f"weighted product needs positive values; "
-                    f"got {value!r} at ({platform!r}, {spec.name!r})"
-                )
-            try:
-                score *= value ** (spec.direction.sign * w_eff[j])
-            except OverflowError:
-                raise ProductDomainError(
-                    f"weighted product overflows at ({platform!r}, {spec.name!r}): {value!r}"
-                ) from None
-        scores[platform] = score
-    return scores
+    rows = _weight_rows(matrix.platforms, _shared(matrix, weights, present))
+    return _product_scores(matrix, present, rows)
 
 
 def score_table(
@@ -208,13 +217,16 @@ def score_table(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DimensionError(f"unknown combination methods: {unknown}")
-    matrix, present = resolved.matrix, resolved.present
+    matrix = resolved.matrix
+    present = _checked_mask(matrix, weights, resolved.present)
+    shared = _shared(matrix, weights, present)
     columns: dict[str, dict[str, float]] = {}
     for method in methods:
+        rows = _weight_rows(matrix.platforms, shared)
         if method == "product":
-            columns[method] = weighted_product(matrix, weights, present)
+            columns[method] = _product_scores(matrix, present, rows)
         else:
-            columns[method] = weighted_sum(
-                matrix, weights, NormalizationMethod(method), present, sample_std=sample_std
+            columns[method] = _sum_scores(
+                matrix, NormalizationMethod(method), present, rows, sample_std
             )
     return ScoreTable(platforms=matrix.platforms, columns=columns)

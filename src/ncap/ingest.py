@@ -37,6 +37,10 @@ from .level import CapabilityProfile
 
 MISSING_TOKENS = frozenset({"", "-", "N/A"})
 
+#: libyaml's loader when PyYAML was built with it; both loaders build values
+#: with the same SafeConstructor, only the scanner and parser differ.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 def read_utf8(path: str | Path, error: type[NcapError]) -> str:
     """A text file's contents; bytes that are not UTF-8 raise ``error``."""
@@ -181,9 +185,12 @@ class EvalConfig:
 def load_config(path: str | Path) -> EvalConfig:
     """Load and validate an evaluation config from a YAML file."""
     try:
-        raw = yaml.safe_load(read_utf8(path, ConfigError))
+        raw = yaml.load(read_utf8(path, ConfigError), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        detail = problem if mark and problem else str(exc).partition("\n")[0]
+        raise ConfigError(f"cannot parse config {path}: {where}{detail}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a mapping at the top level")
 
@@ -218,6 +225,16 @@ def load_config(path: str | Path) -> EvalConfig:
     return EvalConfig(features=features, weights=weights, missing=missing, profiles=profiles)
 
 
+def _utf8(key, what: str) -> str:
+    """A config key as text; a lone surrogate (from a YAML escape) cannot be written out."""
+    text = str(key)
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ConfigError(f"{what} {text!r} is not valid UTF-8") from None
+    return text
+
+
 def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
     if not entries or not isinstance(entries, list):
         raise ConfigError("config must declare a non-empty 'features' list")
@@ -242,7 +259,7 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
             encoding = {str(token): value for token, value in encoding.items()}
         specs.append(
             FeatureSpec(
-                name=str(entry["name"]),
+                name=_utf8(entry["name"], "feature name"),
                 direction=direction,
                 unit=str(entry.get("unit", "")),
                 encoding=encoding,
@@ -277,8 +294,9 @@ def _parse_profiles(entries) -> dict[str, CapabilityProfile]:
         evidence = body.get("evidence") or {}
         if not isinstance(evidence, dict):
             raise ConfigError(f"profile for {platform!r}: evidence must be a mapping")
-        profiles[str(platform)] = CapabilityProfile(
-            platform=str(platform),
+        platform = _utf8(platform, "profile key")
+        profiles[platform] = CapabilityProfile(
+            platform=platform,
             modeling=body["modeling"],
             planning=body["planning"],
             execution=body["execution"],

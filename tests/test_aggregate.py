@@ -10,8 +10,11 @@ from ncap import (
     FeatureMatrix,
     FeatureSpec,
     MissingValueError,
+    NcapError,
     NormalizationMethod,
     ProductDomainError,
+    ResolvedMatrix,
+    ScoreTable,
     WeightScheme,
     WeightVector,
     rank_scores,
@@ -20,7 +23,9 @@ from ncap import (
     weighted_product,
     weighted_sum,
 )
+from ncap.aggregate import _checked_mask
 from ncap.ingest import MissingValuePolicy
+from ncap.normalize import normalize
 
 
 def make_matrix(rows, directions=None, platforms=None):
@@ -290,3 +295,143 @@ def test_single_feature_ranking_follows_signed_raw(raw, direction):
         got = rank_scores(weighted_sum(m, w, method))
         assert got == expected, method
     assert rank_scores(weighted_product(m, w)) == expected
+
+
+# ------------------------------------------------- differential oracles
+#
+# The scoring bodies as they were before score_table shared signs and
+# renormalization divisors across methods: one dict of normalized values
+# per column, one weight renormalization per platform and method, and the
+# sign looked up per cell. Every score must keep its exact bits, and every
+# input that fails must fail first with the same exception and message.
+
+
+def platform_weights_oracle(weights, row_present, platform):
+    if all(row_present):
+        return list(weights.weights)
+    usable = math.fsum(w for w, ok in zip(weights.weights, row_present) if ok)
+    if usable <= 0:
+        raise DomainError(f"platform {platform!r} has no weight on any present feature")
+    return [w / usable if ok else 0.0 for w, ok in zip(weights.weights, row_present)]
+
+
+def weighted_sum_oracle(matrix, weights, method, present=None, sample_std=False):
+    present = _checked_mask(matrix, weights, present)
+    normalized = []
+    for j, spec in enumerate(matrix.features):
+        holders = [i for i in range(len(matrix.platforms)) if present[i][j]]
+        try:
+            column = normalize(
+                [matrix.values[i][j] for i in holders], method, sample_std=sample_std
+            )
+        except OverflowError:
+            raise DomainError(
+                f"feature {spec.name!r}: values too large for eta_{method.value}"
+            ) from None
+        normalized.append(dict(zip(holders, column.values)))
+    scores = {}
+    for i, platform in enumerate(matrix.platforms):
+        w_eff = platform_weights_oracle(weights, present[i], platform)
+        scores[platform] = math.fsum(
+            spec.direction.sign * w_eff[j] * normalized[j][i]
+            for j, spec in enumerate(matrix.features)
+            if present[i][j]
+        )
+    return scores
+
+
+def weighted_product_oracle(matrix, weights, present=None):
+    present = _checked_mask(matrix, weights, present)
+    scores = {}
+    for i, platform in enumerate(matrix.platforms):
+        w_eff = platform_weights_oracle(weights, present[i], platform)
+        score = 1.0
+        for j, spec in enumerate(matrix.features):
+            if not present[i][j]:
+                continue
+            value = matrix.values[i][j]
+            if value <= 0:
+                raise ProductDomainError(
+                    f"weighted product needs positive values; "
+                    f"got {value!r} at ({platform!r}, {spec.name!r})"
+                )
+            try:
+                score *= value ** (spec.direction.sign * w_eff[j])
+            except OverflowError:
+                raise ProductDomainError(
+                    f"weighted product overflows at ({platform!r}, {spec.name!r}): {value!r}"
+                ) from None
+        scores[platform] = score
+    return scores
+
+
+def score_table_oracle(resolved, weights, methods, sample_std=False):
+    columns = {}
+    for method in methods:
+        if method == "product":
+            columns[method] = weighted_product_oracle(resolved.matrix, weights, resolved.present)
+        else:
+            columns[method] = weighted_sum_oracle(
+                resolved.matrix, weights, NormalizationMethod(method), resolved.present,
+                sample_std=sample_std,
+            )
+    return ScoreTable(platforms=resolved.matrix.platforms, columns=columns)
+
+
+def outcome(call):
+    """A call's scores as reprs, or the class and message of what it raised."""
+    try:
+        result = call()
+    except (NcapError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+    columns = result.columns if isinstance(result, ScoreTable) else {"": result}
+    return {m: [(p, repr(s)) for p, s in column.items()] for m, column in columns.items()}
+
+
+# Cell pools, one drawn per example: ties, both signs of zero, the smallest
+# subnormal, huge values and negatives; None is an absent cell. The plain
+# and positive pools let most examples score, the full pool makes most fail.
+PLAIN = [1.0, 2.0, 2.0, 3.0, 7.5, None]
+POSITIVE = [1.0, 2.0, 2.0, 3.5, 5e-324, 1e-300, 1e308, None]
+FULL = POSITIVE + [0.0, -0.0, -1.0, -2.5, 1.5e308]
+
+
+@st.composite
+def masked_inputs(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=5))
+    cells = st.sampled_from(draw(st.sampled_from([PLAIN, POSITIVE, FULL])))
+    rows = draw(
+        st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n)
+    )
+    directions = draw(st.lists(st.sampled_from([MIB, LIB]), min_size=m, max_size=m))
+    raw = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=m, max_size=m))
+    assume(any(raw))  # zero weights allowed, but not all of them
+    # a nudge makes the weights sum to 1 + 1e-12: dividing a complete row
+    # by its usable weight would then change its bits
+    total = sum(raw) * draw(st.sampled_from([1.0, 1.0 - 1e-12]))
+    weights = WeightVector.user_defined([w / total for w in raw])
+    matrix = make_matrix(rows, directions=directions)
+    present = tuple(tuple(cell is not None for cell in row) for row in matrix.values)
+    return matrix, weights, present
+
+
+@given(masked_inputs(), st.booleans(), st.permutations(["max", "sum", "map", "zsc", "product"]))
+@settings(max_examples=400, deadline=None)
+def test_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
+    matrix, weights, present = inputs
+    resolved = ResolvedMatrix(matrix=matrix, present=present)
+    assert outcome(lambda: score_table(resolved, weights, methods, sample_std)) == outcome(
+        lambda: score_table_oracle(resolved, weights, methods, sample_std)
+    )
+    masks = [present] if any(None in row for row in matrix.values) else [present, None]
+    for mask in masks:
+        for method in NormalizationMethod:
+            assert outcome(
+                lambda: weighted_sum(matrix, weights, method, mask, sample_std=sample_std)
+            ) == outcome(
+                lambda: weighted_sum_oracle(matrix, weights, method, mask, sample_std=sample_std)
+            )
+        assert outcome(lambda: weighted_product(matrix, weights, mask)) == outcome(
+            lambda: weighted_product_oracle(matrix, weights, mask)
+        )

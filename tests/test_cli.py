@@ -3,7 +3,9 @@ import io
 import json
 
 import pytest
+import yaml
 
+import ncap.ingest
 from ncap.cli import main
 
 from golden import (
@@ -475,6 +477,12 @@ def _mean_fill_overflow(tmp_path, matrix, config):
     return _one_feature(tmp_path, ["1e308", "1.5e308", "-"]) + ["--missing", "mean"]
 
 
+def _bad_yaml(tmp_path, matrix, config):
+    bad = tmp_path / "c.yaml"
+    bad.write_text("features: [\n")
+    return ["score", "--matrix", str(matrix), "--config", str(bad)]
+
+
 def _product_subnormal(tmp_path, matrix, config):
     feature = "direction: less_is_better"
     return _one_feature(tmp_path, ["5e-324", "1"], feature) + ["--methods", "product"]
@@ -488,6 +496,7 @@ def _product_subnormal(tmp_path, matrix, config):
         (_non_utf8_matrix, "FormatError"),
         (_non_utf8_scores, "FormatError"),
         (_non_numeric_encoding, "ConfigError"),
+        (_bad_yaml, "ConfigError"),
         (_sum_overflow, "DomainError"),
         (_zsc_overflow, "DomainError"),
         (_mean_fill_overflow, "DomainError"),
@@ -503,6 +512,48 @@ def test_failure_is_one_error_line(
     assert code == 1
     assert out == ""
     assert err.startswith(f"error: {error}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+YAML_LOADERS = [
+    pytest.param(yaml.SafeLoader, id="pure"),
+    pytest.param(
+        getattr(yaml, "CSafeLoader", None),
+        id="libyaml",
+        marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml"),
+    ),
+]
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    argv = _bad_yaml(tmp_path, None, None)
+    code, _, err = run(capsys, "level", "--config", argv[-1])
+    assert code == 1
+    assert err.startswith(f"error: ConfigError: cannot parse config {argv[-1]}: line 2, column 1: ")
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+@pytest.mark.parametrize(
+    "config",
+    [
+        'features:\n  - name: a\n    direction: more_is_better\n'
+        'profiles:\n  "\\ud800": {modeling: true, planning: true, execution: true}\n',
+        'features:\n  - name: "\\udfff"\n    direction: more_is_better\n'
+        'profiles:\n  p: {modeling: true, planning: true, execution: true}\n',
+    ],
+    ids=["profile_key", "feature_name"],
+)
+def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, loader, config):
+    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    path = tmp_path / "c.yaml"
+    path.write_text(config, encoding="utf-8")
+    code, out, err = run(capsys, "level", "--config", str(path), "--format", "csv")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ConfigError: ")
     assert len(err.strip().splitlines()) == 1
 
 

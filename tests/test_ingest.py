@@ -1,5 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+import yaml
+from hypothesis import given, settings, strategies as st
+
+import ncap.ingest
 
 from ncap import (
     ConfigError,
@@ -222,3 +225,85 @@ def test_parse_serialize_roundtrip(n_platforms, n_features, data):
 def test_benchmark_roundtrip(benchmark_matrix, benchmark_config):
     text = serialize_feature_matrix(benchmark_matrix)
     assert parse_feature_matrix_text(text, benchmark_config) == benchmark_matrix
+
+
+# ------------------------------------------------------------ yaml loaders
+
+with_libyaml = pytest.mark.skipif(
+    not yaml.__with_libyaml__, reason="PyYAML is built without libyaml"
+)
+
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+)
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@with_libyaml
+@given(documents, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_libyaml_loads_what_the_pure_loader_loads(document, flow):
+    text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=True)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+
+def load_with(loader, path, monkeypatch):
+    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    return load_config(path)
+
+
+@with_libyaml
+def test_benchmark_config_equal_under_both_loaders(benchmark_config_path, monkeypatch):
+    fast = load_with(yaml.CSafeLoader, benchmark_config_path, monkeypatch)
+    assert fast == load_with(yaml.SafeLoader, benchmark_config_path, monkeypatch)
+
+
+@with_libyaml
+def test_profile_config_equal_under_both_loaders(tmp_path, monkeypatch):
+    lines = [
+        "features:",
+        "  - name: res",
+        "    direction: more_is_better",
+        "    encoding: {'620x512': 317440, \"4k\": 8.2944e+6, FHD: 2073600}",
+        "  - name: t",
+        "    direction: less_is_better",
+        "weights: {res: 0.25, t: 0.75}",
+        "missing: exclude",
+        "profiles:",
+    ]
+    for i in range(50):
+        lines += [
+            f"  uas-{i}:",
+            f"    modeling: {'true' if i % 2 else 'false'}",
+            f"    planning: {'yes' if i % 3 else 'no'}",
+            "    execution: false",
+            f"    evidence: {{modeling: 'note {i}: \"quoted\"'}}",
+        ]
+    path = tmp_path / "c.yaml"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    fast = load_with(yaml.CSafeLoader, path, monkeypatch)
+    assert len(fast.profiles) == 50
+    assert fast == load_with(yaml.SafeLoader, path, monkeypatch)
+
+
+@with_libyaml
+def test_load_config_parses_with_libyaml(benchmark_config_path, monkeypatch):
+    loaders = []
+
+    def spy(stream, Loader):
+        loaders.append(Loader)
+        return load(stream, Loader)
+
+    load = yaml.load
+    monkeypatch.setattr(yaml, "load", spy)
+    load_config(benchmark_config_path)
+    assert loaders == [yaml.CSafeLoader]
