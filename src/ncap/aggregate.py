@@ -92,22 +92,23 @@ class ScoreTable:
 def _checked_mask(
     matrix: FeatureMatrix, weights: WeightVector, present: tuple[tuple[bool, ...], ...] | None
 ):
-    """The presence mask, all-True when none is given, after checking shapes."""
+    """The presence mask, all-True when none is given, after checking its
+    shape and that it marks every missing cell absent."""
     if len(weights) != len(matrix.features):
         raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
     if present is None:
-        missing = matrix.missing_cells()
-        if missing:
-            platform, feature = missing[0]
-            raise MissingValueError(
-                f"matrix has missing cells (first at ({platform!r}, {feature!r})); "
-                "resolve them or pass a presence mask"
-            )
-        return tuple((True,) * len(matrix.features) for _ in matrix.platforms)
-    if len(present) != len(matrix.platforms) or any(
+        present = tuple((True,) * len(matrix.features) for _ in matrix.platforms)
+    elif len(present) != len(matrix.platforms) or any(
         len(row) != len(matrix.features) for row in present
     ):
         raise DimensionError("presence mask shape does not match the matrix")
+    for platform, row, mask in zip(matrix.platforms, matrix.values, present):
+        if None in compress(row, mask):
+            spec = next(s for s, c, ok in zip(matrix.features, row, mask) if ok and c is None)
+            raise MissingValueError(
+                f"cell ({platform!r}, {spec.name!r}) is missing but not marked absent; "
+                "resolve missing cells or mark them absent in a presence mask"
+            )
     return present
 
 

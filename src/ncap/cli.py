@@ -24,10 +24,11 @@ from typing import Callable, NamedTuple
 
 from .aggregate import METHODS, ScoreTable, WeightVector, score_table
 from .errors import ConfigError, FormatError, NcapError
-from .geometry import PLOT_HEADER, NcapCoordinate, distance_report
+from .geometry import PLOT_HEADER, NcapCoordinate, decimals, distance_report
 from .ingest import (
     EvalConfig,
     MissingValuePolicy,
+    csv_rows,
     load_config,
     parse_feature_matrix,
     read_utf8,
@@ -74,7 +75,7 @@ def cmd_score(args: argparse.Namespace) -> Output:
         rows=[[p, m, columns[m][p], ranks[m][p]] for m in methods for p in scores.platforms],
         table=lambda: _grid(
             "platform", scores.platforms, methods,
-            lambda p, m: f"{_decimals(columns[m][p], 2)} ({ranks[m][p]})",
+            lambda p, m: f"{decimals(columns[m][p], 2)} ({ranks[m][p]})",
         ),
         jsonl=lambda: [
             {
@@ -126,7 +127,7 @@ def cmd_distance(args: argparse.Namespace) -> Output:
             + "\nrelative autonomy distance to the reference:\n"
             + _grid(
                 "platform", scores.platforms, scores.methods,
-                lambda p, m: _decimals(reports[m].relative[p], 2),
+                lambda p, m: decimals(reports[m].relative[p], 2),
             )
         ),
     )
@@ -149,7 +150,7 @@ def cmd_compare(args: argparse.Namespace) -> Output:
     rows = [[a, b, stats.tau[(a, b)]] for a in methods for b in methods]
 
     def table() -> str:
-        out = _grid("tau", methods, methods, lambda a, b: _decimals(stats.tau[(a, b)], 2))
+        out = _grid("tau", methods, methods, lambda a, b: decimals(stats.tau[(a, b)], 2))
         if not stats.unanimous:
             return out + "unanimous ranks: none\n"
         lines = [f"  rank {r}: {', '.join(ps)}\n" for r, ps in sorted(stats.unanimous.items())]
@@ -192,26 +193,27 @@ def _input_scores(args: argparse.Namespace, config: EvalConfig | None = None) ->
 def _load_score_csv(path: Path, methods: tuple[str, ...]) -> ScoreTable:
     """Read a score table back from cmd_score's csv output (or any file
     with platform,method,score columns)."""
-    reader = csv.DictReader(io.StringIO(read_utf8(path, FormatError)))
-    if not {"platform", "method", "score"}.issubset(reader.fieldnames or []):
+    rows = csv_rows(read_utf8(path, FormatError))
+    _, header = next(rows, (1, []))
+    if not {"platform", "method", "score"}.issubset(header):
         raise FormatError(f"score file {path} must have columns platform,method,score")
+    at = [header.index(name) for name in ("platform", "method", "score")]
     platforms: dict[str, None] = {}  # insertion-ordered set
     columns: dict[str, dict[str, float]] = {m: {} for m in methods}
-    for row in reader:
-        method = row["method"]
+    for line, cells in rows:
+        platform, method, score = (cells[i] for i in at)
         if method not in columns:
             continue
-        platform = row["platform"]
         if platform in columns[method]:
             raise FormatError(
-                f"score file {path}: duplicate row for ({platform!r}, {method!r})"
+                f"score file {path}, line {line}: duplicate row for ({platform!r}, {method!r})"
             )
         platforms[platform] = None
         try:
-            columns[method][platform] = float(row["score"])
+            columns[method][platform] = float(score)
         except ValueError:
             raise FormatError(
-                f"score file {path}: bad score {row['score']!r} "
+                f"score file {path}, line {line}: bad score {score!r} "
                 f"for ({platform!r}, {method!r})"
             ) from None
     for method, column in columns.items():
@@ -268,23 +270,18 @@ def render(fmt: str, output: Output) -> str:
     )
 
 
-def _decimals(x: float, places: int) -> str:
-    v = round(x, places)
-    return f"{0.0 if v == 0 else v:.{places}f}"  # no "-0.00"
-
-
 def _csv_cell(cell) -> str:
     if isinstance(cell, bool):
         return str(int(cell))
     if isinstance(cell, float):
-        return _decimals(cell, 6)
+        return decimals(cell, 6)
     return str(cell)
 
 
 def _json_value(value):
     """Floats rounded to 6 decimals, non-finite ones as null, also inside dicts."""
     if isinstance(value, float):
-        return float(_decimals(value, 6)) if math.isfinite(value) else None
+        return float(decimals(value, 6)) if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _json_value(v) for key, v in value.items()}
     return value
@@ -322,6 +319,9 @@ def _methods_arg(value: str) -> tuple[str, ...]:
         raise argparse.ArgumentTypeError(
             f"methods must be a comma-separated subset of {','.join(METHODS)}"
         )
+    repeated = sorted({t for t in tokens if tokens.count(t) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"methods named more than once: {','.join(repeated)}")
     return tokens
 
 

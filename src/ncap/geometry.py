@@ -103,15 +103,22 @@ def distance_report(coords: Sequence[NcapCoordinate]) -> DistanceReport:
 PLOT_HEADER = "platform,method,n_al,n_cp"
 
 
+def decimals(x: float, places: int) -> str:
+    """``x`` rounded to ``places`` decimals, as fixed-point text without "-0"."""
+    v = round(x, places)
+    return f"{0.0 if v == 0 else v:.{places}f}"
+
+
 def coordinate_plot_data(coords: Iterable[NcapCoordinate]) -> str:
     """Render coordinates as CSV text for external plotting tools.
 
-    Fixed 6-decimal precision, input order preserved, header always present.
+    Fixed 6-decimal precision, input order preserved, header always present;
+    the same text as ``ncap plotdata``.
     """
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(PLOT_HEADER.split(","))
-    writer.writerows([c.platform, c.method, f"{c.x:.6f}", f"{c.y:.6f}"] for c in coords)
+    writer.writerows([c.platform, c.method, decimals(c.x, 6), decimals(c.y, 6)] for c in coords)
     return out.getvalue()
 
 

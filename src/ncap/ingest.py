@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import yaml
 
@@ -33,7 +33,7 @@ from .errors import (
     MissingValueError,
     NcapError,
 )
-from .level import CapabilityProfile
+from .level import LAYERS_ABOVE_PERCEPTION, CapabilityProfile
 
 MISSING_TOKENS = frozenset({"", "-", "N/A"})
 
@@ -43,11 +43,31 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def read_utf8(path: str | Path, error: type[NcapError]) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise ``error``."""
+    """A text file's contents without a leading byte-order mark; bytes that
+    are not UTF-8 raise ``error``."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise error(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
+
+
+def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
+    """Each non-blank row of CSV text as (the line it starts on, its stripped
+    cells). A row wider or narrower than the first, or a malformed quoted
+    field, raises FormatError naming the line."""
+    reader = csv.reader(io.StringIO(text), strict=True)
+    line, width = 1, None
+    try:
+        for row in reader:
+            if row:
+                cells = [cell.strip() for cell in row]
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise FormatError(f"line {line}: expected {width} cells, got {len(cells)}")
+                yield line, cells
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise FormatError(f"line {line}: malformed CSV: {exc}") from None
 
 
 def _finite(value) -> float | None:
@@ -191,19 +211,14 @@ def load_config(path: str | Path) -> EvalConfig:
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
         detail = problem if mark and problem else str(exc).partition("\n")[0]
         raise ConfigError(f"cannot parse config {path}: {where}{detail}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {path} must be a mapping at the top level")
+    raw = _mapping(raw, f"config {path}", ("features", "weights", "missing", "profiles"))
 
     features = _parse_feature_specs(raw.get("features"))
     names = {spec.name for spec in features}
 
     weights = raw.get("weights")
     if weights is not None:
-        if not isinstance(weights, dict):
-            raise ConfigError("weights must map feature names to numbers")
-        unknown = set(weights) - names
-        if unknown:
-            raise ConfigError(f"weights name undeclared features: {sorted(unknown)}")
+        weights = _mapping(weights, "weights", names)
         absent = names - set(weights)
         if absent:
             raise ConfigError(f"weights missing for features: {sorted(absent)}")
@@ -215,11 +230,7 @@ def load_config(path: str | Path) -> EvalConfig:
 
     missing = raw.get("missing")
     if missing is not None:
-        try:
-            missing = MissingValuePolicy(missing)
-        except ValueError:
-            choices = ", ".join(p.value for p in MissingValuePolicy)
-            raise ConfigError(f"missing policy must be one of: {choices}") from None
+        missing = _choice(MissingValuePolicy, missing, "missing policy")
 
     profiles = _parse_profiles(raw.get("profiles"))
     return EvalConfig(features=features, weights=weights, missing=missing, profiles=profiles)
@@ -235,73 +246,70 @@ def _utf8(key, what: str) -> str:
     return text
 
 
+def _mapping(value, what: str, keys=None) -> dict:
+    """A config mapping with every key as text (see _utf8). Raises ConfigError
+    when ``value`` is not a mapping, when two keys are the same text, or when
+    a key is not one of ``keys`` (any key is allowed when ``keys`` is None)."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a mapping")
+    out = {}
+    for key, item in value.items():
+        text = _utf8(key, f"{what}: key")
+        if text in out:
+            raise ConfigError(f"{what}: more than one key reads as {text!r}")
+        if keys is not None and text not in keys:
+            raise ConfigError(f"{what}: unknown key {text!r}")
+        out[text] = item
+    return out
+
+
+def _choice(enum: type[Enum], value, what: str):
+    """The member of ``enum`` whose value is ``value``, or ConfigError naming the choices."""
+    try:
+        return enum(value)
+    except ValueError:
+        choices = ", ".join(member.value for member in enum)
+        raise ConfigError(f"{what} must be one of: {choices}") from None
+
+
 def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
     if not entries or not isinstance(entries, list):
         raise ConfigError("config must declare a non-empty 'features' list")
-    specs = []
-    for entry in entries:
-        if not isinstance(entry, dict) or "name" not in entry:
-            raise ConfigError(f"feature entry needs at least a 'name': {entry!r}")
-        extra = set(entry) - {"name", "direction", "unit", "encoding"}
-        if extra:
-            raise ConfigError(f"feature {entry['name']!r}: unknown keys {sorted(extra)}")
-        try:
-            direction = Direction(entry.get("direction"))
-        except ValueError:
-            choices = ", ".join(d.value for d in Direction)
-            raise ConfigError(
-                f"feature {entry['name']!r}: direction must be one of: {choices}"
-            ) from None
+    specs: dict[str, FeatureSpec] = {}
+    for number, entry in enumerate(entries, start=1):
+        what = f"feature entry {number}"
+        entry = _mapping(entry, what, ("name", "direction", "unit", "encoding"))
+        if "name" not in entry:
+            raise ConfigError(f"{what} needs a 'name'")
+        name = _utf8(entry["name"], "feature name")
+        if name in specs:
+            raise ConfigError(f"feature {name!r} is declared more than once")
         encoding = entry.get("encoding")
         if encoding is not None:
-            if not isinstance(encoding, dict):
-                raise ConfigError(f"feature {entry['name']!r}: encoding must be a mapping")
-            encoding = {str(token): value for token, value in encoding.items()}
-        specs.append(
-            FeatureSpec(
-                name=_utf8(entry["name"], "feature name"),
-                direction=direction,
-                unit=str(entry.get("unit", "")),
-                encoding=encoding,
-            )
+            encoding = _mapping(encoding, f"feature {name!r}: encoding")
+        specs[name] = FeatureSpec(
+            name=name,
+            direction=_choice(Direction, entry.get("direction"), f"feature {name!r}: direction"),
+            unit=str(entry.get("unit", "")),
+            encoding=encoding,
         )
-    names = [spec.name for spec in specs]
-    if len(set(names)) != len(names):
-        raise ConfigError("duplicate feature names in config")
-    return tuple(specs)
+    return tuple(specs.values())
 
 
 def _parse_profiles(entries) -> dict[str, CapabilityProfile]:
     if entries is None:
         return {}
-    if not isinstance(entries, dict):
-        raise ConfigError("profiles must map platform ids to capability booleans")
-    profiles = {}
-    for platform, body in entries.items():
-        if not isinstance(body, dict):
-            raise ConfigError(f"profile for {platform!r} must be a mapping")
-        extra = set(body) - {"perception", "modeling", "planning", "execution", "evidence"}
-        if extra:
-            raise ConfigError(f"profile for {platform!r}: unknown keys {sorted(extra)}")
-        for layer in ("modeling", "planning", "execution"):
-            if not isinstance(body.get(layer), bool):
-                raise ConfigError(
-                    f"profile for {platform!r} needs boolean {layer!r}"
-                )
-        perception = body.get("perception", True)
-        if not isinstance(perception, bool):
-            raise ConfigError(f"profile for {platform!r}: perception must be boolean")
-        evidence = body.get("evidence") or {}
-        if not isinstance(evidence, dict):
-            raise ConfigError(f"profile for {platform!r}: evidence must be a mapping")
-        platform = _utf8(platform, "profile key")
+    profiles, layers = {}, ("perception", *LAYERS_ABOVE_PERCEPTION)
+    for platform, body in _mapping(entries, "profiles").items():
+        what = f"profile for {platform!r}"
+        flags = {"perception": True, **_mapping(body, what, (*layers, "evidence"))}
+        evidence = flags.pop("evidence", None)
+        for layer in layers:
+            if not isinstance(flags.get(layer), bool):
+                raise ConfigError(f"{what} needs boolean {layer!r}")
+        evidence = {} if evidence is None else _mapping(evidence, f"{what}: evidence")
         profiles[platform] = CapabilityProfile(
-            platform=platform,
-            modeling=body["modeling"],
-            planning=body["planning"],
-            execution=body["execution"],
-            perception=perception,
-            evidence={str(k): str(v) for k, v in evidence.items()},
+            platform=platform, evidence={key: str(note) for key, note in evidence.items()}, **flags
         )
     return profiles
 
@@ -319,25 +327,13 @@ def parse_feature_matrix(source: str | Path, config: EvalConfig) -> FeatureMatri
 
 def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
     """Same as parse_feature_matrix, for already-loaded CSV text."""
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
-    if not rows:
-        raise FormatError("matrix file is empty")
-    header = [cell.strip() for cell in rows[0]]
-    if len(header) < 2:
-        raise FormatError("header row must name at least one feature")
-    names = header[1:]
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate feature name in header")
-    specs = tuple(config.spec_for(name) for name in names)
+    rows = csv_rows(text)
+    _, header = next(rows, (1, []))
+    specs = tuple(config.spec_for(name) for name in header[1:])
 
     platforms: list[str] = []
     grid: list[tuple[float | None, ...]] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        cells = [cell.strip() for cell in row]
-        if len(cells) != len(header):
-            raise FormatError(
-                f"line {line_no}: expected {len(header)} cells, got {len(cells)}"
-            )
+    for line_no, cells in rows:
         platform = cells[0]
         platforms.append(platform)
         grid.append(
@@ -346,8 +342,6 @@ def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
                 for spec, cell in zip(specs, cells[1:])
             )
         )
-    if not platforms:
-        raise FormatError("matrix file has a header but no platform rows")
     return FeatureMatrix(platforms=tuple(platforms), features=specs, values=tuple(grid))
 
 
@@ -357,17 +351,12 @@ def _parse_cell(cell: str, spec: FeatureSpec, platform: str, line_no: int) -> fl
     if spec.encoding and cell in spec.encoding:
         return spec.encoding[cell]
     try:
-        value = float(cell)
+        return float(cell)
     except ValueError:
         raise EncodingError(
             f"line {line_no}, feature {spec.name!r}: no encoding for token {cell!r} "
             f"(platform {platform!r})"
         ) from None
-    if not math.isfinite(value):
-        raise FormatError(
-            f"line {line_no}, feature {spec.name!r}: non-finite value {cell!r}"
-        )
-    return value
 
 
 def serialize_feature_matrix(matrix: FeatureMatrix) -> str:

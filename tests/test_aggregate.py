@@ -138,6 +138,22 @@ class TestWeightedProduct:
         assert scores["p1"] == pytest.approx(4**0.25 * 8**0.75)
 
 
+@pytest.mark.parametrize(
+    "scores",
+    [
+        lambda m, w, mask: weighted_sum(m, w, NormalizationMethod.MAX, mask),
+        lambda m, w, mask: weighted_product(m, w, mask),
+        lambda m, w, mask: score_table(ResolvedMatrix(m, mask), w, ["max", "product"]),
+    ],
+    ids=["weighted_sum", "weighted_product", "score_table"],
+)
+def test_mask_marking_a_missing_cell_present_is_rejected(scores):
+    m = make_matrix([[1, 2], [3, None], [4, None]])
+    mask = ((True, True), (True, True), (True, False))
+    with pytest.raises(MissingValueError, match=r"\('p1', 'f1'\) is missing"):
+        scores(m, WeightVector.uniform(2), mask)
+
+
 class TestScoreTable:
     def test_all_methods(self):
         m = make_matrix([[1, 2], [2, 1]])

@@ -234,6 +234,13 @@ def test_plotdata_from_matrix(benchmark_matrix_path, benchmark_config_path, caps
     assert len(out.splitlines()) == 8
 
 
+def test_duplicate_methods_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", "--scores", "s.csv", "--methods", "max,sum,max"])
+    assert excinfo.value.code == 2
+    assert "methods named more than once: max" in capsys.readouterr().err
+
+
 def test_plotdata_empty_method_list_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["plotdata", "--scores", "s.csv", "--config", "c.yaml", "--methods", ""])
@@ -488,6 +495,75 @@ def _product_subnormal(tmp_path, matrix, config):
     return _one_feature(tmp_path, ["5e-324", "1"], feature) + ["--methods", "product"]
 
 
+def _score_files(tmp_path, config_end="}\n", matrix="platform,a\np0,1\np1,2\n"):
+    """score over a matrix and a one-feature config; config_end closes the
+    feature's flow mapping and may add keys."""
+    (tmp_path / "m.csv").write_text(matrix)
+    config = tmp_path / "c.yaml"
+    config.write_text("features:\n  - {name: a, direction: more_is_better" + config_end)
+    return ["score", "--matrix", str(tmp_path / "m.csv"), "--config", str(config)]
+
+
+def _feature_mixed_keys(tmp_path, matrix, config):
+    return _score_files(tmp_path, ", 1: x, b: y}\n")
+
+
+def _weights_mixed_keys(tmp_path, matrix, config):
+    return _score_files(tmp_path, "}\nweights: {a: 1.0, 1: x, b: y}\n")
+
+
+def _profile_mixed_keys(tmp_path, matrix, config):
+    profile = "p0: {modeling: true, planning: true, execution: true, 1: x, b: y}"
+    argv = _score_files(tmp_path, "}\nprofiles:\n  " + profile + "\n")
+    return ["level", "--config", argv[-1]]
+
+
+def _unknown_top_level_key(tmp_path, matrix, config):
+    return _score_files(tmp_path, "}\nmising: exclude\n")
+
+
+def _keys_equal_as_text(tmp_path, matrix, config):
+    return _score_files(tmp_path, ', encoding: {1: 5, "1": 6}}\n')
+
+
+def _bad_cell_after_blank_line(tmp_path, matrix, config):
+    return _score_files(tmp_path, matrix="platform,a\np0,1\n\np1,X\n")
+
+
+def _bad_cell_after_quoted_newline(tmp_path, matrix, config):
+    return _score_files(tmp_path, matrix='platform,a\np0,"1\n"\np1,X\n')
+
+
+def _unterminated_quote(tmp_path, matrix, config):
+    return _score_files(tmp_path, matrix='platform,a\nA,"1\nB,2\n')
+
+
+def _scores(tmp_path, rows, header="platform,method,score"):
+    scores = tmp_path / "s.csv"
+    scores.write_text(header + "\n" + rows)
+    return ["compare", "--scores", str(scores), "--methods", "max,sum"]
+
+
+def _short_scores_row(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1\np1,max\n")
+
+
+def _long_scores_row(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1,9\np1,max,2\np0,sum,2\np1,sum,1\n")
+
+
+def _scores_without_score_column(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1\n", header="platform,method,value")
+
+
+def _bad_score(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1\np1,max,high\np0,sum,2\np1,sum,1\n")
+
+
+def _incomplete_scores_column(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1\np1,max,2\np0,sum,2\n")
+
+
 @pytest.mark.parametrize(
     "make_argv,error",
     [
@@ -501,6 +577,19 @@ def _product_subnormal(tmp_path, matrix, config):
         (_zsc_overflow, "DomainError"),
         (_mean_fill_overflow, "DomainError"),
         (_product_subnormal, "ProductDomainError"),
+        (_feature_mixed_keys, "ConfigError"),
+        (_weights_mixed_keys, "ConfigError"),
+        (_profile_mixed_keys, "ConfigError"),
+        (_unknown_top_level_key, "ConfigError"),
+        (_keys_equal_as_text, "ConfigError"),
+        (_bad_cell_after_blank_line, "EncodingError: line 4, feature 'a'"),
+        (_bad_cell_after_quoted_newline, "EncodingError: line 4, feature 'a'"),
+        (_unterminated_quote, "FormatError: line 2"),
+        (_short_scores_row, "FormatError: line 3"),
+        (_long_scores_row, "FormatError: line 2"),
+        (_scores_without_score_column, "FormatError"),
+        (_bad_score, "FormatError"),
+        (_incomplete_scores_column, "FormatError"),
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else None,
 )
@@ -567,3 +656,43 @@ def test_duplicate_score_rows_rejected(tmp_path, capsys):
     assert code == 1
     assert err.startswith("error: FormatError:")
     assert "duplicate row for ('p0', 'max')" in err
+
+
+
+@pytest.mark.parametrize("which", ["matrix", "config", "scores"])
+def test_byte_order_mark_changes_no_output(
+    tmp_path, capsys, benchmark_matrix_path, benchmark_config_path, which
+):
+    scores = tmp_path / "scores.csv"
+    assert main([
+        "score", "--matrix", str(benchmark_matrix_path), "--config", str(benchmark_config_path),
+        "--format", "csv", "--out", str(scores),
+    ]) == 0
+    plain = {"matrix": benchmark_matrix_path, "config": benchmark_config_path, "scores": scores}
+    marked = dict(plain)
+    marked[which] = tmp_path / f"bom-{plain[which].name}"
+    marked[which].write_text("\ufeff" + plain[which].read_text(encoding="utf-8"), encoding="utf-8")
+    outputs = []
+    for paths in (plain, marked):
+        source = ["--scores", str(paths["scores"])] if which == "scores" else [
+            "--matrix", str(paths["matrix"])
+        ]
+        code, out, err = run(
+            capsys, "distance", *source, "--config", str(paths["config"]), "--format", "csv"
+        )
+        assert (code, err) == (0, "")
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_integer_feature_name_matches_its_weight(tmp_path, capsys):
+    matrix = tmp_path / "m.csv"
+    matrix.write_text("platform,7\np0,1\np1,2\n")
+    config = tmp_path / "c.yaml"
+    config.write_text("features:\n  - {name: 7, direction: more_is_better}\nweights: {7: 1.0}\n")
+    code, out, err = run(
+        capsys, "score", "--matrix", str(matrix), "--config", str(config),
+        "--weights", "config", "--methods", "max", "--format", "csv",
+    )
+    assert (code, err) == (0, "")
+    assert out == "platform,method,score,rank\np0,max,0.500000,2\np1,max,1.000000,1\n"

@@ -5,16 +5,24 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncap import (
+    METHODS,
     DomainError,
     EmptyInputError,
     MethodMismatchError,
     NcapCoordinate,
+    WeightVector,
     autonomy_distance,
+    classify,
     coordinate_plot_data,
     distance_report,
+    load_config,
+    parse_feature_matrix,
     relative_distance,
+    resolve_missing,
+    score_table,
     select_reference,
 )
+from ncap.cli import main
 
 from golden import LEVELS, UNIFORM_SCORES
 
@@ -109,6 +117,25 @@ def test_plot_data_empty():
 def test_plot_data_single():
     out = coordinate_plot_data([coord("UAS E", 3.0, 4.63, "product")])
     assert out == "platform,method,n_al,n_cp\nUAS E,product,3.000000,4.630000\n"
+
+
+def test_plot_data_has_no_negative_zero():
+    out = coordinate_plot_data([coord("A", 1.0, -1e-9, "zsc"), coord("B", 0.0, -0.0)])
+    assert out == "platform,method,n_al,n_cp\nA,zsc,1.000000,0.000000\nB,sum,0.000000,0.000000\n"
+
+
+def test_plot_data_is_the_cli_plotdata_text(benchmark_matrix_path, benchmark_config_path, capsys):
+    config = load_config(benchmark_config_path)
+    resolved = resolve_missing(parse_feature_matrix(benchmark_matrix_path, config), config.missing)
+    table = score_table(resolved, WeightVector.uniform(len(resolved.matrix.features)), METHODS)
+    coords = [
+        coord(p, float(classify(config.profiles[p]).value), table.columns[m][p], m)
+        for m in METHODS
+        for p in table.platforms
+    ]
+    argv = ["--matrix", str(benchmark_matrix_path), "--config", str(benchmark_config_path)]
+    assert main(["plotdata", *argv]) == 0
+    assert coordinate_plot_data(coords) == capsys.readouterr().out
 
 
 def test_plot_data_order_preserved():

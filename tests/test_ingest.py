@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
@@ -153,6 +156,110 @@ def test_config_encoding_values_become_floats(tmp_path):
     (res,) = load_config(path).features
     assert res.encoding == {"HD": 2.0, "4K": 8.5}
     assert all(type(v) is float for v in res.encoding.values())
+
+
+FEATURE_A = "features:\n  - {name: a, direction: more_is_better}\n"
+PROFILE = "profiles:\n  p: {modeling: true, planning: true, execution: true"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("- features\n", "must be a mapping"),
+        ("", "must be a mapping"),
+        ("missing: mean\n", "non-empty 'features' list"),
+        ("features: {a: 1}\n", "non-empty 'features' list"),
+        ("features: [a]\n", "feature entry 1 must be a mapping"),
+        ("features:\n  - {direction: more_is_better}\n", "feature entry 1 needs a 'name'"),
+        (FEATURE_A + "  - {name: a, direction: less_is_better}\n", "'a' is declared more than once"),
+        ("features:\n  - {name: a, direction: up}\n", "'a': direction must be one of"),
+        ("features:\n  - {name: a}\n", "'a': direction must be one of"),
+        (FEATURE_A[:-2] + ", encoding: [1]}\n", "'a': encoding must be a mapping"),
+        (FEATURE_A + "weights: [1.0]\n", "weights must be a mapping"),
+        (FEATURE_A + "  - {name: b, direction: more_is_better}\nweights: {a: 1.0}\n",
+         r"weights missing for features: \['b'\]"),
+        (FEATURE_A + "weights: {a: -1.0}\n", "weight for 'a' must be a non-negative"),
+        (FEATURE_A + "weights: {a: 1.0, b: 0.0}\n", "weights: unknown key 'b'"),
+        (FEATURE_A + "missing: drop\n", "missing policy must be one of"),
+        (FEATURE_A + "profiles: []\n", "profiles must be a mapping"),
+        (FEATURE_A + "profiles: {p: true}\n", "profile for 'p' must be a mapping"),
+        (FEATURE_A + "profiles: {p: {modeling: true}}\n", "'p' needs boolean 'planning'"),
+        (FEATURE_A + PROFILE + ", perception: 1}\n", "'p' needs boolean 'perception'"),
+        (FEATURE_A + PROFILE + ", evidence: [x]}\n", "'p': evidence must be a mapping"),
+        (FEATURE_A + PROFILE + ", evidence: {1: x, '1': y}}\n", "more than one key reads as '1'"),
+    ],
+    ids=[
+        "top_level_list", "empty_file", "no_features", "features_mapping", "entry_scalar",
+        "entry_without_name", "duplicate_name", "bad_direction", "no_direction",
+        "encoding_list", "weights_list", "weight_absent", "weight_negative", "weight_unknown",
+        "bad_policy", "profiles_list", "profile_scalar", "layer_absent", "perception_int",
+        "evidence_list", "evidence_keys_equal_as_text",
+    ],
+)
+def test_config_rejected(tmp_path, text, message):
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
+
+
+def test_config_null_sections_mean_none(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(FEATURE_A + "weights:\nmissing:\n" + PROFILE + ", evidence: }\n")
+    cfg = load_config(path)
+    assert (cfg.weights, cfg.missing) == (None, None)
+    assert cfg.profiles["p"].evidence == {}
+    path.write_text(FEATURE_A + "profiles:\n")
+    assert load_config(path).profiles == {}
+
+
+def test_config_keys_are_text(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(
+        "features:\n  - {name: 7, direction: more_is_better, encoding: {1: 2, 2.5: 3}}\n"
+        "weights: {7: 1}\n" + PROFILE.replace(" p:", " 12:") + ", evidence: {true: 4}}\n"
+    )
+    cfg = load_config(path)
+    assert cfg.features[0].name == "7"
+    assert cfg.features[0].encoding == {"1": 2.0, "2.5": 3.0}
+    assert cfg.weights == {"7": 1.0}
+    assert cfg.profiles["12"].evidence == {"True": "4"}
+
+
+def test_csv_rows_report_the_line_each_row_starts_on():
+    text = 'a, b\n\n"x\ny", 1\n\nz,2\n'
+    assert list(ncap.ingest.csv_rows(text)) == [
+        (1, ["a", "b"]), (3, ["x\ny", "1"]), (6, ["z", "2"])
+    ]
+    with pytest.raises(FormatError, match="line 6: expected 2 cells, got 3"):
+        list(ncap.ingest.csv_rows(text.replace("z,2", "z,2,3")))
+    with pytest.raises(FormatError, match="line 3: malformed CSV: ',' expected after"):
+        list(ncap.ingest.csv_rows(text.replace('y",', 'y" ,')))
+    with pytest.raises(FormatError, match="line 6: malformed CSV: unexpected end of data"):
+        list(ncap.ingest.csv_rows(text.replace("z,2", 'z,"2')))
+
+
+def test_csv_is_read_only_by_csv_rows():
+    """csv.reader and csv.DictReader appear only in ingest.csv_rows, so every
+    CSV input follows one rule for quotes, widths, blank rows and lines."""
+    readers = []
+    for path in sorted(Path(ncap.ingest.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> innermost enclosing function (walk visits outer ones first)
+        for function in ast.walk(tree):
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update((node, function.name) for node in ast.walk(function))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "csv":
+                readers.append((path.name, "from csv import"))
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr in ("reader", "DictReader")
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "csv"
+            ):
+                readers.append((path.name, owner.get(node)))
+    assert readers == [("ingest.py", "csv_rows")]
 
 
 def test_resolve_missing_column_mean():
