@@ -6,18 +6,16 @@ jsonl objects where their shape differs from the rows, and a table
 builder. render() alone knows the formats: 6 decimals in csv and jsonl,
 2 in tables, and null in jsonl for a non-finite number.
 
-Given identical inputs every command produces byte-identical output.
-Set NCAP_NO_COLOR to suppress ANSI styling (only applied on a tty).
+Given identical inputs and flags every command produces byte-identical
+output: main() encodes it as UTF-8 once and writes the same bytes, with
+"\\n" line ends, to stdout or --out, whatever the terminal or locale.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -29,6 +27,7 @@ from .ingest import (
     EvalConfig,
     MissingValuePolicy,
     csv_rows,
+    csv_text,
     load_config,
     parse_feature_matrix,
     read_utf8,
@@ -51,11 +50,12 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_inputs(args)
-        text = render(args.fmt, args.run(args))
+        data = render(args.fmt, args.run(args)).encode("utf-8")
         if args.out is not None:
-            args.out.write_text(text, encoding="utf-8")
+            args.out.write_bytes(data)
         else:
-            sys.stdout.write(text)
+            sys.stdout.flush()  # text already written stays ahead of these bytes
+            sys.stdout.buffer.write(data)
     except (NcapError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -216,6 +216,8 @@ def _load_score_csv(path: Path, methods: tuple[str, ...]) -> ScoreTable:
                 f"score file {path}, line {line}: bad score {score!r} "
                 f"for ({platform!r}, {method!r})"
             ) from None
+    if not platforms:
+        raise FormatError(f"score file {path} has no scores for {','.join(methods)}")
     for method, column in columns.items():
         if column.keys() != platforms.keys():
             raise FormatError(f"score file {path} has no complete {method!r} column")
@@ -257,11 +259,7 @@ def render(fmt: str, output: Output) -> str:
     if fmt == "table":
         return output.table()
     if fmt == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(output.header)
-        writer.writerows([_csv_cell(cell) for cell in row] for row in output.rows)
-        return out.getvalue()
+        return csv_text(output.header, ([_csv_cell(c) for c in row] for row in output.rows))
     rows = (dict(zip(output.header, row)) for row in output.rows)
     objects = output.jsonl() if output.jsonl else rows
     return "".join(
@@ -287,26 +285,19 @@ def _json_value(value):
     return value
 
 
-def _style(text: str, code: str) -> str:
-    if os.environ.get("NCAP_NO_COLOR") or not sys.stdout.isatty():
-        return text
-    return f"\x1b[{code}m{text}\x1b[0m"
-
-
 def _grid(corner: str, keys, columns, cell: Callable[[str, str], str]) -> str:
     """A table with a row per key and a column per column name."""
     return _table([corner, *columns], [[k] + [cell(k, c) for c in columns] for k in keys])
 
 
 def _table(header: list[str], body: list[list[str]]) -> str:
-    widths = [len(h) for h in header]
-    for row in body:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(_style(h.ljust(widths[i]), "1") for i, h in enumerate(header)).rstrip()]
-    for row in body:
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines) + "\n"
+    """Left-aligned columns two spaces apart, the header as the first row."""
+    rows = [header, *body]
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "".join(
+        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip() + "\n"
+        for row in rows
+    )
 
 
 # ---------------------------------------------------------------- argparse

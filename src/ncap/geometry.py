@@ -10,13 +10,12 @@ origin; relative distance compares a platform against the strongest
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, DomainError, EmptyInputError, MethodMismatchError
+from .ingest import csv_text
 
 _VALID_LEVELS = (0.0, 1.0, 2.0, 3.0)
 
@@ -115,11 +114,8 @@ def coordinate_plot_data(coords: Iterable[NcapCoordinate]) -> str:
     Fixed 6-decimal precision, input order preserved, header always present;
     the same text as ``ncap plotdata``.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PLOT_HEADER.split(","))
-    writer.writerows([c.platform, c.method, decimals(c.x, 6), decimals(c.y, 6)] for c in coords)
-    return out.getvalue()
+    rows = ([c.platform, c.method, decimals(c.x, 6), decimals(c.y, 6)] for c in coords)
+    return csv_text(PLOT_HEADER.split(","), rows)
 
 
 def _check_single_method(coords: Sequence[NcapCoordinate]) -> None:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import yaml
 
@@ -68,6 +68,17 @@ def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
             line = reader.line_num + 1
     except csv.Error as exc:
         raise FormatError(f"line {line}: malformed CSV: {exc}") from None
+
+
+def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
+    """A header and rows of cells as CSV text with "\\n" line ends: the one
+    CSV writer, so every CSV output quotes the way csv_rows reads. Rows are
+    written as they are drawn, so a generator is never held whole."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
 
 
 def _finite(value) -> float | None:
@@ -195,12 +206,6 @@ class EvalConfig:
     missing: MissingValuePolicy | None = None
     profiles: Mapping[str, CapabilityProfile] = field(default_factory=dict)
 
-    def spec_for(self, name: str) -> FeatureSpec:
-        for spec in self.features:
-            if spec.name == name:
-                return spec
-        raise ConfigError(f"feature {name!r} is not declared in the config")
-
 
 def load_config(path: str | Path) -> EvalConfig:
     """Load and validate an evaluation config from a YAML file."""
@@ -237,7 +242,10 @@ def load_config(path: str | Path) -> EvalConfig:
 
 
 def _utf8(key, what: str) -> str:
-    """A config key as text; a lone surrogate (from a YAML escape) cannot be written out."""
+    """A config key as text. A YAML null is not a name, and a lone surrogate
+    (from a YAML escape) cannot be written out."""
+    if key is None:
+        raise ConfigError(f"{what} must not be null")
     text = str(key)
     try:
         text.encode("utf-8")
@@ -290,7 +298,7 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
         specs[name] = FeatureSpec(
             name=name,
             direction=_choice(Direction, entry.get("direction"), f"feature {name!r}: direction"),
-            unit=str(entry.get("unit", "")),
+            unit="" if entry.get("unit") is None else str(entry["unit"]),
             encoding=encoding,
         )
     return tuple(specs.values())
@@ -329,7 +337,11 @@ def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
     """Same as parse_feature_matrix, for already-loaded CSV text."""
     rows = csv_rows(text)
     _, header = next(rows, (1, []))
-    specs = tuple(config.spec_for(name) for name in header[1:])
+    declared = {spec.name: spec for spec in config.features}
+    for name in header[1:]:
+        if name not in declared:
+            raise ConfigError(f"feature {name!r} is not declared in the config")
+    specs = tuple(declared[name] for name in header[1:])
 
     platforms: list[str] = []
     grid: list[tuple[float | None, ...]] = []
@@ -364,12 +376,11 @@ def serialize_feature_matrix(matrix: FeatureMatrix) -> str:
 
     Numbers use repr, so parse -> serialize -> parse is lossless.
     """
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["platform", *matrix.feature_names])
-    for platform, row in zip(matrix.platforms, matrix.values):
-        writer.writerow([platform, *("" if cell is None else repr(cell) for cell in row)])
-    return out.getvalue()
+    rows = (
+        [platform, *("" if cell is None else repr(cell) for cell in row)]
+        for platform, row in zip(matrix.platforms, matrix.values)
+    )
+    return csv_text(["platform", *matrix.feature_names], rows)
 
 
 def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> ResolvedMatrix:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -19,6 +23,7 @@ from golden import (
 )
 
 METHOD_LIST = "max,sum,map,zsc,product"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -259,6 +264,20 @@ def test_compare_benchmark_consensus(tmp_path, capsys):
     assert "rank 1: UAS E" in out
 
 
+def test_compare_table_without_unanimous_rank(tmp_path, capsys):
+    scores = write_scores_csv(
+        tmp_path / "s.csv", {"max": {"p0": 1.0, "p1": 2.0}, "sum": {"p0": 2.0, "p1": 1.0}}
+    )
+    code, out, _ = run(capsys, "compare", "--scores", str(scores), "--methods", "max,sum")
+    assert code == 0
+    assert out == (
+        "tau  max    sum\n"
+        "max  1.00   -1.00\n"
+        "sum  -1.00  1.00\n"
+        "unanimous ranks: none\n"
+    )
+
+
 def test_compare_needs_two_methods(tmp_path, capsys):
     scores = write_scores_csv(tmp_path / "scores.csv", UNIFORM_SCORES)
     code, _, err = run(capsys, "compare", "--scores", str(scores), "--methods", "max")
@@ -310,7 +329,7 @@ def test_missing_input_file_is_single_line_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-# ------------------------------------------------------- formats, styling
+# --------------------------------------------------- formats, output bytes
 
 
 def test_score_jsonl_output(benchmark_matrix_path, benchmark_config_path, capsys):
@@ -376,23 +395,39 @@ def test_weights_config_without_weights_section(tmp_path, capsys):
     assert err.startswith("error: ConfigError:")
 
 
-def test_table_styling_respects_no_color(
+def test_table_bytes_do_not_depend_on_a_terminal(
     tmp_path, benchmark_matrix_path, benchmark_config_path, capsys, monkeypatch
 ):
     argv = [
         "score", "--matrix", str(benchmark_matrix_path),
-        "--config", str(benchmark_config_path),
+        "--config", str(benchmark_config_path), "--format", "table",
     ]
+    plain, on_tty = tmp_path / "plain.txt", tmp_path / "tty.txt"
+    assert main(argv + ["--out", str(plain)]) == 0
     monkeypatch.setattr("sys.stdout.isatty", lambda: True)
-    monkeypatch.delenv("NCAP_NO_COLOR", raising=False)
-    assert main(argv) == 0
-    styled = capsys.readouterr().out
-    assert "\x1b[1m" in styled
+    assert main(argv + ["--out", str(on_tty)]) == 0
+    assert on_tty.read_bytes() == plain.read_bytes()
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.encode("utf-8") == plain.read_bytes()
 
-    monkeypatch.setenv("NCAP_NO_COLOR", "1")
-    assert main(argv) == 0
-    plain = capsys.readouterr().out
-    assert "\x1b[" not in plain
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
+    config = tmp_path / "c.yaml"
+    config.write_text(
+        "features:\n  - {name: a, direction: more_is_better}\n"
+        'profiles:\n  "UAS \u00fc\u2713": {modeling: true, planning: true, execution: true}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out.csv"
+    argv = [sys.executable, "-m", "ncap.cli", "level", "--config", str(config), "--format", "csv"]
+    env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": encoding}
+    done = subprocess.run(argv, env=env, capture_output=True)
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert subprocess.run(argv + ["--out", str(out)], env=env, capture_output=True).returncode == 0
+    expected = "platform,level\nUAS \u00fc\u2713,3\n".encode("utf-8")
+    assert done.stdout == out.read_bytes() == expected
 
 
 # ------------------------------------------------------ strict json lines
@@ -544,6 +579,11 @@ def _scores(tmp_path, rows, header="platform,method,score"):
     return ["compare", "--scores", str(scores), "--methods", "max,sum"]
 
 
+def _distance(argv, config):
+    """The same --scores input for distance instead of compare."""
+    return ["distance", *argv[1:], "--config", str(config)]
+
+
 def _short_scores_row(tmp_path, matrix, config):
     return _scores(tmp_path, "p0,max,1\np1,max\n")
 
@@ -562,6 +602,42 @@ def _bad_score(tmp_path, matrix, config):
 
 def _incomplete_scores_column(tmp_path, matrix, config):
     return _scores(tmp_path, "p0,max,1\np1,max,2\np0,sum,2\n")
+
+
+def _header_only_scores(tmp_path, matrix, config):
+    return _scores(tmp_path, "")
+
+
+def _header_only_scores_distance(tmp_path, matrix, config):
+    return _distance(_header_only_scores(tmp_path, matrix, config), config)
+
+
+def _scores_for_other_methods(tmp_path, matrix, config):
+    return _scores(tmp_path, "UAS A,zsc,1\nUAS B,zsc,2\n")
+
+
+def _scores_for_other_methods_distance(tmp_path, matrix, config):
+    return _distance(_scores_for_other_methods(tmp_path, matrix, config), config)
+
+
+def _infinite_score(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1\np1,max,inf\np0,sum,2\np1,sum,1\n")
+
+
+def _weight_beyond_float_range(tmp_path, matrix, config):
+    return _score_files(tmp_path, "}\nweights: {a: 1" + "0" * 400 + "}\n")
+
+
+def _level_without_profiles(tmp_path, matrix, config):
+    return ["level", "--config", _score_files(tmp_path)[-1]]
+
+
+def _score_without_config(tmp_path, matrix, config):
+    return ["score", "--matrix", str(matrix)]
+
+
+def _compare_matrix_without_config(tmp_path, matrix, config):
+    return ["compare", "--matrix", str(matrix)]
 
 
 @pytest.mark.parametrize(
@@ -590,6 +666,15 @@ def _incomplete_scores_column(tmp_path, matrix, config):
         (_scores_without_score_column, "FormatError"),
         (_bad_score, "FormatError"),
         (_incomplete_scores_column, "FormatError"),
+        (_header_only_scores, "FormatError"),
+        (_header_only_scores_distance, "FormatError"),
+        (_scores_for_other_methods, "FormatError"),
+        (_scores_for_other_methods_distance, "FormatError"),
+        (_infinite_score, "DomainError"),
+        (_weight_beyond_float_range, "ConfigError"),
+        (_level_without_profiles, "ConfigError"),
+        (_score_without_config, "ConfigError"),
+        (_compare_matrix_without_config, "ConfigError"),
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else None,
 )

@@ -187,13 +187,17 @@ PROFILE = "profiles:\n  p: {modeling: true, planning: true, execution: true"
         (FEATURE_A + PROFILE + ", perception: 1}\n", "'p' needs boolean 'perception'"),
         (FEATURE_A + PROFILE + ", evidence: [x]}\n", "'p': evidence must be a mapping"),
         (FEATURE_A + PROFILE + ", evidence: {1: x, '1': y}}\n", "more than one key reads as '1'"),
+        ("features:\n  - {name: ~, direction: more_is_better}\n", "feature name must not be null"),
+        (FEATURE_A + PROFILE.replace(" p:", " ~:") + "}\n", "profiles: key must not be null"),
+        (FEATURE_A[:-2] + ", encoding: {~: 1}}\n", "'a': encoding: key must not be null"),
     ],
     ids=[
         "top_level_list", "empty_file", "no_features", "features_mapping", "entry_scalar",
         "entry_without_name", "duplicate_name", "bad_direction", "no_direction",
         "encoding_list", "weights_list", "weight_absent", "weight_negative", "weight_unknown",
         "bad_policy", "profiles_list", "profile_scalar", "layer_absent", "perception_int",
-        "evidence_list", "evidence_keys_equal_as_text",
+        "evidence_list", "evidence_keys_equal_as_text", "null_name", "null_profile_key",
+        "null_token",
     ],
 )
 def test_config_rejected(tmp_path, text, message):
@@ -211,6 +215,12 @@ def test_config_null_sections_mean_none(tmp_path):
     assert cfg.profiles["p"].evidence == {}
     path.write_text(FEATURE_A + "profiles:\n")
     assert load_config(path).profiles == {}
+
+
+def test_config_null_unit_means_no_unit(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text("features:\n  - {name: a, direction: more_is_better, unit: ~}\n")
+    assert load_config(path).features[0].unit == ""
 
 
 def test_config_keys_are_text(tmp_path):
@@ -241,8 +251,9 @@ def test_csv_rows_report_the_line_each_row_starts_on():
 
 def test_csv_is_read_only_by_csv_rows():
     """csv.reader and csv.DictReader appear only in ingest.csv_rows, so every
-    CSV input follows one rule for quotes, widths, blank rows and lines."""
-    readers = []
+    CSV input follows one rule for quotes, widths, blank rows and lines; and
+    csv.writer only in ingest.csv_text, so every CSV output quotes one way."""
+    readers, writers = [], []
     for path in sorted(Path(ncap.ingest.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}  # node -> innermost enclosing function (walk visits outer ones first)
@@ -254,12 +265,15 @@ def test_csv_is_read_only_by_csv_rows():
                 readers.append((path.name, "from csv import"))
             if (
                 isinstance(node, ast.Attribute)
-                and node.attr in ("reader", "DictReader")
                 and isinstance(node.value, ast.Name)
                 and node.value.id == "csv"
             ):
-                readers.append((path.name, owner.get(node)))
+                if node.attr in ("reader", "DictReader"):
+                    readers.append((path.name, owner.get(node)))
+                if node.attr in ("writer", "DictWriter"):
+                    writers.append((path.name, owner.get(node)))
     assert readers == [("ingest.py", "csv_rows")]
+    assert writers == [("ingest.py", "csv_text")]
 
 
 def test_resolve_missing_column_mean():
