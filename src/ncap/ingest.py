@@ -23,6 +23,18 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import yaml
+from yaml.constructor import ConstructorError, SafeConstructor
+from yaml.events import (
+    AliasEvent,
+    DocumentStartEvent,
+    MappingEndEvent,
+    MappingStartEvent,
+    ScalarEvent,
+    SequenceEndEvent,
+    SequenceStartEvent,
+)
+from yaml.nodes import ScalarNode
+from yaml.resolver import Resolver
 
 from .errors import (
     ConfigError,
@@ -40,6 +52,12 @@ MISSING_TOKENS = frozenset({"", "-", "N/A"})
 #: libyaml's loader when PyYAML was built with it; both loaders build values
 #: with the same SafeConstructor, only the scanner and parser differ.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+# the tags an untagged scalar may resolve to that _yaml_value builds; the
+# others PyYAML resolves to, merge "<<" and value "=", only yaml.load builds
+_SCALAR_TAGS = frozenset(
+    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "str", "timestamp")
+)
 
 
 def read_utf8(path: str | Path, error: type[NcapError]) -> str:
@@ -210,12 +228,14 @@ class EvalConfig:
 def load_config(path: str | Path) -> EvalConfig:
     """Load and validate an evaluation config from a YAML file."""
     try:
-        raw = yaml.load(read_utf8(path, ConfigError), Loader=YAML_LOADER)
+        raw = _yaml_value(read_utf8(path, ConfigError))
     except yaml.YAMLError as exc:
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
         detail = problem if mark and problem else str(exc).partition("\n")[0]
         raise ConfigError(f"cannot parse config {path}: {where}{detail}") from None
+    except ValueError as exc:  # yaml.load met a scalar it resolves but cannot build
+        raise ConfigError(f"cannot parse config {path}: {exc}") from None
     raw = _mapping(raw, f"config {path}", ("features", "weights", "missing", "profiles"))
 
     features = _parse_feature_specs(raw.get("features"))
@@ -241,9 +261,68 @@ def load_config(path: str | Path) -> EvalConfig:
     return EvalConfig(features=features, weights=weights, missing=missing, profiles=profiles)
 
 
+def _yaml_value(text: str):
+    """The value yaml.load(text, Loader=YAML_LOADER) gives, built straight
+    from the parser's events where the text allows.
+
+    Mappings, sequences and untagged scalars are built without PyYAML's node
+    tree: a scalar's tag comes from PyYAML's Resolver and its value from
+    SafeConstructor's method for that tag, once per (text, implicit) pair.
+    An anchor, alias, explicit tag, merge key "<<", value key "=", collection
+    as a key or second document sends the whole text to yaml.load. A scalar
+    that resolves but cannot be built, such as 2021-13-01, raises
+    ConstructorError at its start once the stream has parsed, so a syntax
+    error anywhere wins, as it does in yaml.load. Nothing outlives the call.
+    """
+    resolve, constructor, scalars, error = Resolver().resolve, SafeConstructor(), {}, None
+    stack = [[]]  # items of each open collection, the stream's documents first
+    mapping = [False]  # whether each open collection is a mapping
+    for event in yaml.parse(text, Loader=YAML_LOADER):
+        kind = type(event)
+        if kind is ScalarEvent:
+            if event.anchor is not None or event.tag not in (None, "!"):
+                break
+            key = (event.value, event.implicit)
+            if key not in scalars:
+                tag = resolve(ScalarNode, event.value, event.implicit)
+                if tag not in _SCALAR_TAGS:
+                    break
+                try:
+                    scalars[key] = constructor.yaml_constructors[tag](
+                        constructor, ScalarNode(tag, event.value)
+                    )
+                except ValueError as exc:
+                    scalars[key] = None
+                    error = error or ConstructorError(None, None, str(exc), event.start_mark)
+            stack[-1].append(scalars[key])
+        elif kind is MappingStartEvent or kind is SequenceStartEvent:
+            if (
+                event.anchor is not None
+                or event.tag not in (None, "!")
+                or (mapping[-1] and len(stack[-1]) % 2 == 0)  # a collection as a key
+            ):
+                break
+            stack.append([])
+            mapping.append(kind is MappingStartEvent)
+        elif kind is MappingEndEvent:
+            items = iter(stack.pop())
+            mapping.pop()
+            stack[-1].append(dict(zip(items, items)))
+        elif kind is SequenceEndEvent:
+            mapping.pop()
+            stack[-2].append(stack.pop())
+        elif kind is AliasEvent or (kind is DocumentStartEvent and stack[0]):
+            break
+    else:
+        if error is not None:
+            raise error
+        return stack[0][0] if stack[0] else None
+    return yaml.load(text, Loader=YAML_LOADER)
+
+
 def _utf8(key, what: str) -> str:
-    """A config key as text. A YAML null is not a name, and a lone surrogate
-    (from a YAML escape) cannot be written out."""
+    """A config key or note as text. A YAML null is not text, and a lone
+    surrogate (from a YAML escape) cannot be written out."""
     if key is None:
         raise ConfigError(f"{what} must not be null")
     text = str(key)
@@ -316,9 +395,10 @@ def _parse_profiles(entries) -> dict[str, CapabilityProfile]:
             if not isinstance(flags.get(layer), bool):
                 raise ConfigError(f"{what} needs boolean {layer!r}")
         evidence = {} if evidence is None else _mapping(evidence, f"{what}: evidence")
-        profiles[platform] = CapabilityProfile(
-            platform=platform, evidence={key: str(note) for key, note in evidence.items()}, **flags
-        )
+        evidence = {
+            key: _utf8(note, f"{what}: evidence for {key!r}") for key, note in evidence.items()
+        }
+        profiles[platform] = CapabilityProfile(platform=platform, evidence=evidence, **flags)
     return profiles
 
 

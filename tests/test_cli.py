@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import os
@@ -640,6 +641,47 @@ def _compare_matrix_without_config(tmp_path, matrix, config):
     return ["compare", "--matrix", str(matrix)]
 
 
+# scalars YAML resolves to a date or a number that Python cannot build; the
+# last one, explicitly tagged, is built by yaml.load rather than from events
+UNBUILDABLE_SCALARS = {
+    "impossible_month": "    unit: 2021-13-01\n",
+    "impossible_day": "    unit: 2021-02-30\n",
+    "empty_hex": "    unit: 0x_\n",
+    "empty_binary": "    unit: 0b_\n",
+    "impossible_offset": "    unit: 2001-12-14t21:59:43.10-25:00\n",
+    "impossible_date_key": (
+        "profiles:\n  2021-13-01: {modeling: true, planning: true, execution: true}\n"
+    ),
+    "tagged_impossible_month": "    unit: !!timestamp 2021-13-01\n",
+}
+
+
+def _unbuildable(name, text, loader_id, loader):
+    """A make_argv for level over a config holding ``text``, read by ``loader``."""
+
+    def make_argv(tmp_path, matrix, config):
+        path = tmp_path / "c.yaml"
+        path.write_text("features:\n  - name: a\n    direction: more_is_better\n" + text)
+        return ["level", "--config", str(path)]
+
+    make_argv.__name__ = f"{name}_{loader_id}"
+    make_argv.loader = loader
+    return make_argv
+
+
+UNBUILDABLE_CASES = [
+    pytest.param(
+        _unbuildable(name, text, loader_id, loader),
+        "ConfigError",
+        marks=pytest.mark.skipif(loader is None, reason="no libyaml"),
+    )
+    for loader_id, loader in (
+        ("pure", yaml.SafeLoader), ("libyaml", getattr(yaml, "CSafeLoader", None))
+    )
+    for name, text in UNBUILDABLE_SCALARS.items()
+]
+
+
 @pytest.mark.parametrize(
     "make_argv,error",
     [
@@ -675,12 +717,15 @@ def _compare_matrix_without_config(tmp_path, matrix, config):
         (_level_without_profiles, "ConfigError"),
         (_score_without_config, "ConfigError"),
         (_compare_matrix_without_config, "ConfigError"),
+        *UNBUILDABLE_CASES,
     ],
     ids=lambda v: v.__name__.strip("_") if callable(v) else None,
 )
 def test_failure_is_one_error_line(
-    tmp_path, capsys, benchmark_matrix_path, benchmark_config_path, make_argv, error
+    tmp_path, capsys, monkeypatch, benchmark_matrix_path, benchmark_config_path, make_argv, error
 ):
+    if hasattr(make_argv, "loader"):
+        monkeypatch.setattr(ncap.ingest, "YAML_LOADER", make_argv.loader)
     argv = make_argv(tmp_path, benchmark_matrix_path, benchmark_config_path)
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -710,6 +755,21 @@ def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, 
 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS)
+def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, loader):
+    """A scalar built from parser events is reported at its start; one that
+    yaml.load builds (an explicit tag sends the text there) without one."""
+    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    path = tmp_path / "c.yaml"
+    for unit, where in (("2021-13-01", "line 3, column 11: "), ("!!timestamp 2021-13-01", "")):
+        path.write_text(f"features:\n  - name: a\n    unit: {unit}\n")
+        code, out, err = run(capsys, "level", "--config", str(path))
+        assert (code, out) == (1, "")
+        assert err == (
+            f"error: ConfigError: cannot parse config {path}: {where}month must be in 1..12\n"
+        )
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
 @pytest.mark.parametrize(
     "config",
     [
@@ -717,8 +777,11 @@ def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, 
         'profiles:\n  "\\ud800": {modeling: true, planning: true, execution: true}\n',
         'features:\n  - name: "\\udfff"\n    direction: more_is_better\n'
         'profiles:\n  p: {modeling: true, planning: true, execution: true}\n',
+        'features:\n  - name: a\n    direction: more_is_better\n'
+        'profiles:\n  p: {modeling: true, planning: true, execution: true,'
+        ' evidence: {lidar: "\\ud800"}}\n',
     ],
-    ids=["profile_key", "feature_name"],
+    ids=["profile_key", "feature_name", "evidence_note"],
 )
 def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, loader, config):
     monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
@@ -729,6 +792,24 @@ def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, 
     assert out == ""
     assert err.startswith("error: ConfigError: ")
     assert len(err.strip().splitlines()) == 1
+
+
+def test_second_main_call_leaves_no_cyclic_garbage(
+    capsys, benchmark_matrix_path, benchmark_config_path
+):
+    """The argument parser, a few hundred objects in reference cycles, is
+    built once; the pipeline builds no cycles, so a warm call leaves nothing
+    for the cyclic collector."""
+    argv = ["compare", "--matrix", str(benchmark_matrix_path),
+            "--config", str(benchmark_config_path), "--format", "jsonl"]
+    assert run(capsys, *argv)[0] == 0
+    gc.collect()
+    gc.disable()  # so the collector cannot free a cycle before it is counted
+    try:
+        assert run(capsys, *argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_duplicate_score_rows_rejected(tmp_path, capsys):

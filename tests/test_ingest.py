@@ -1,9 +1,10 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ncap.ingest
 
@@ -190,6 +191,10 @@ PROFILE = "profiles:\n  p: {modeling: true, planning: true, execution: true"
         ("features:\n  - {name: ~, direction: more_is_better}\n", "feature name must not be null"),
         (FEATURE_A + PROFILE.replace(" p:", " ~:") + "}\n", "profiles: key must not be null"),
         (FEATURE_A[:-2] + ", encoding: {~: 1}}\n", "'a': encoding: key must not be null"),
+        (FEATURE_A + PROFILE + ", evidence: {lidar: ~}}\n", "evidence for 'lidar' must not be null"),
+        # libyaml refuses the escape as it parses; the pure loader reads it
+        (FEATURE_A + PROFILE + ', evidence: {lidar: "\\ud800"}}\n',
+         r"evidence for 'lidar' '\\ud800' is not valid UTF-8|invalid Unicode character escape"),
     ],
     ids=[
         "top_level_list", "empty_file", "no_features", "features_mapping", "entry_scalar",
@@ -197,7 +202,7 @@ PROFILE = "profiles:\n  p: {modeling: true, planning: true, execution: true"
         "encoding_list", "weights_list", "weight_absent", "weight_negative", "weight_unknown",
         "bad_policy", "profiles_list", "profile_scalar", "layer_absent", "perception_int",
         "evidence_list", "evidence_keys_equal_as_text", "null_name", "null_profile_key",
-        "null_token",
+        "null_token", "null_note", "surrogate_note",
     ],
 )
 def test_config_rejected(tmp_path, text, message):
@@ -369,12 +374,122 @@ documents = st.recursive(
 )
 
 
+def read_yaml(loader, text, load=yaml.load):
+    """The value load_config reads from ``text`` with ``loader`` as its YAML
+    loader; ``load`` stands in for yaml.load, None when the text must not
+    need it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ncap.ingest, "YAML_LOADER", loader)
+        patch.setattr(yaml, "load", load)
+        return ncap.ingest._yaml_value(text)
+
+
 @with_libyaml
 @given(documents, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_libyaml_loads_what_the_pure_loader_loads(document, flow):
+    """yaml.load under each loader, and the event builder under each without
+    falling back to yaml.load, give one value, with the same types and key
+    order (repr tells True from 1 and 1.0, and orders keys)."""
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=True)
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+    expected = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        assert repr(read_yaml(loader, text, load=None)) == repr(expected)
+
+
+def _value_error(text):
+    with pytest.raises(ValueError) as info:
+        yaml.safe_load(text)
+    return str(info.value)
+
+
+# plain scalars YAML resolves to a date or number that cannot be built, with
+# the message yaml.load gives for each
+UNBUILDABLE = {
+    text: _value_error(text)
+    for text in ("2021-13-01", "2021-02-30", "0x_", "0b_", "2001-12-14t21:59:43.10-25:00")
+}
+# flow-style YAML mixing what the event builder builds with what it leaves
+# to yaml.load: anchors, aliases, explicit tags, merge and value keys,
+# collection keys and a second document. Few distinct tokens, so keys repeat.
+BUILDABLE = [
+    "1", "-7", "0o17", "1_000", "0x1F", "1.5", "-.inf", "true", "No", "~", "a b", "'1'", '"x"',
+    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "! 12",
+]
+RARE = [*UNBUILDABLE, "<<", "=", "!!str 5", "!!int 7", "!!timestamp 2021-13-01", "&x 3", "*x"]
+yaml_nodes = st.recursive(
+    st.sampled_from(BUILDABLE * 3 + RARE),
+    lambda inner: st.tuples(
+        st.sampled_from(["", "", "", "! ", "&y "]),
+        st.lists(inner, max_size=4).map(lambda items: "[" + ", ".join(items) + "]")
+        | st.lists(st.tuples(inner, inner), max_size=4).map(
+            lambda pairs: "{" + ", ".join(f"{k} : {v}" for k, v in pairs) + "}"
+        ),
+    ).map("".join),
+    max_leaves=12,
+)
+# one text in five holds a second document
+yaml_texts = st.tuples(yaml_nodes, st.sampled_from([""] * 4 + ["\n---\n"]), yaml_nodes).map(
+    lambda parts: parts[0] + (parts[1] + parts[2] if parts[1] else "")
+)
+
+
+def outcome(read):
+    """(value, None) or (None, the YAMLError or ValueError) of read()."""
+    try:
+        return read(), None
+    except (yaml.YAMLError, ValueError) as exc:
+        return None, exc
+
+
+@with_libyaml
+@given(yaml_texts)
+@example("[&x 3, &x 3]")  # a repeated anchor that no alias names
+@example("{<<: {a: 1}, =: 2, [b]: 3}")
+@example("[0x_, 2021-13-01]\n---\n1")
+@settings(max_examples=400, deadline=None)
+def test_yaml_outside_the_event_subset_reads_as_yaml_load_reads_it(text):
+    """The same value, or the same exception class and message, as yaml.load
+    under each loader. Where every event is in the subset and yaml.load meets
+    an unbuildable scalar, the builder reports the first one, in document
+    order, at its start; yaml.load reports its ValueError without a place."""
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        value, error = outcome(lambda: yaml.load(text, Loader=loader))
+        got, got_error = outcome(lambda: read_yaml(loader, text))
+        if error is None:
+            assert (repr(got), got_error) == (repr(value), None)
+        elif type(error) is ValueError and type(got_error) is yaml.constructor.ConstructorError:
+            mark = got_error.problem_mark
+            at = text.splitlines()[mark.line][mark.column:]
+            assert [got_error.problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
+        else:
+            assert (type(got_error), str(got_error)) == (type(error), str(error))
+
+
+def test_loading_a_config_leaves_no_memory_behind(tmp_path):
+    """Nothing a load builds outlives it: no cache or memo grows across
+    loads. The configs differ only in their platform names; the first load
+    fills the interpreter's free lists, which the others then reuse."""
+    paths = []
+    for k in range(4):
+        lines = ["features:", "  - {name: a, direction: more_is_better}", "profiles:"]
+        lines += [
+            f"  uas-{k}-{i}: {{modeling: {i % 2 == 0}, planning: false, execution: false}}"
+            for i in range(300)
+        ]
+        paths.append(tmp_path / f"c{k}.yaml")
+        paths[-1].write_text("\n".join(lines) + "\n")
+    load_config(paths[0])
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for path in paths[1:]:
+            load_config(path)
+        growth = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert growth < 10_000
 
 
 def load_with(loader, path, monkeypatch):
@@ -417,14 +532,26 @@ def test_profile_config_equal_under_both_loaders(tmp_path, monkeypatch):
 
 
 @with_libyaml
-def test_load_config_parses_with_libyaml(benchmark_config_path, monkeypatch):
-    loaders = []
+def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkeypatch):
+    """load_config builds the benchmark config from libyaml's events; a
+    config with an anchor is parsed once more, by yaml.load."""
+    calls = []
 
-    def spy(stream, Loader):
-        loaders.append(Loader)
-        return load(stream, Loader)
+    def spy(name):
+        function = getattr(yaml, name)
 
-    load = yaml.load
-    monkeypatch.setattr(yaml, "load", spy)
+        def called(stream, Loader):
+            calls.append((name, Loader))
+            return function(stream, Loader)
+
+        monkeypatch.setattr(yaml, name, called)
+
+    spy("parse")
+    spy("load")
     load_config(benchmark_config_path)
-    assert loaders == [yaml.CSafeLoader]
+    assert calls == [("parse", yaml.CSafeLoader)]
+    calls.clear()
+    anchored = tmp_path / "c.yaml"
+    anchored.write_text("features:\n  - &a {name: a, direction: more_is_better}\n")
+    assert load_config(anchored).features[0].name == "a"
+    assert calls == [("parse", yaml.CSafeLoader), ("load", yaml.CSafeLoader)]
