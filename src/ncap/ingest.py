@@ -49,8 +49,9 @@ from .level import LAYERS_ABOVE_PERCEPTION, CapabilityProfile
 
 MISSING_TOKENS = frozenset({"", "-", "N/A"})
 
-#: libyaml's loader when PyYAML was built with it; both loaders build values
-#: with the same SafeConstructor, only the scanner and parser differ.
+#: libyaml's loader when PyYAML was built with it; both loaders emit the same
+#: events and build values with the same SafeConstructor, only the scanner
+#: and parser differ.
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # the tags an untagged scalar may resolve to that _yaml_value builds; the
