@@ -17,14 +17,13 @@ renormalized to sum to 1, so scores stay on a comparable scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, repeat
 from operator import mul, truediv
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, MissingValueError, ProductDomainError
-from .ingest import FeatureMatrix, ResolvedMatrix
+from .ingest import FeatureMatrix, ResolvedMatrix, checked_make
 from .normalize import NormalizationMethod, normalize
 
 #: Combination-method tokens, in canonical presentation order.
@@ -36,22 +35,27 @@ class WeightScheme(Enum):
     USER_DEFINED = "user_defined"
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Non-negative feature weights summing to 1."""
-
+class _WeightVector(NamedTuple):
     weights: tuple[float, ...]
     scheme: WeightScheme
 
-    def __post_init__(self):
-        if not self.weights:
+
+class WeightVector(_WeightVector):
+    """Non-negative feature weights summing to 1."""
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, weights: tuple[float, ...], scheme: WeightScheme):
+        if not weights:
             raise DimensionError("weight vector must not be empty")
-        for w in self.weights:
+        for w in weights:
             if not (math.isfinite(w) and w >= 0):
                 raise DomainError(f"weights must be finite and non-negative, got {w!r}")
-        total = math.fsum(self.weights)
+        total = math.fsum(weights)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"weights must sum to 1, got {total!r}")
+        return super().__new__(cls, weights, scheme)
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
@@ -67,22 +71,27 @@ class WeightVector:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class ScoreTable:
-    """Per-platform scores for each requested combination method."""
-
+class _ScoreTable(NamedTuple):
     platforms: tuple[str, ...]
     columns: Mapping[str, Mapping[str, float]]
 
-    def __post_init__(self):
-        for method, column in self.columns.items():
-            if tuple(column) != self.platforms:
+
+class ScoreTable(_ScoreTable):
+    """Per-platform scores for each requested combination method."""
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, platforms: tuple[str, ...], columns: Mapping[str, Mapping[str, float]]):
+        for method, column in columns.items():
+            if tuple(column) != platforms:
                 raise DimensionError(f"score column {method!r} does not cover all platforms")
             for platform, score in column.items():
                 if not math.isfinite(score):
                     raise DomainError(
                         f"non-finite score for {platform!r} under {method!r}"
                     )
+        return super().__new__(cls, platforms, columns)
 
     @property
     def methods(self) -> tuple[str, ...]:
@@ -143,6 +152,14 @@ def _sum_scores(matrix, method, present, rows, sample_std) -> dict[str, float]:
         except OverflowError:
             raise DomainError(
                 f"feature {spec.name!r}: values too large for eta_{method.value}"
+            ) from None
+        except DomainError:  # max and sum need positive values; name the first other one
+            platform, value = next(
+                (p, v) for p, v, ok in zip(matrix.platforms, column, mask) if ok and v <= 0
+            )
+            raise DomainError(
+                f"feature {spec.name!r}: eta_{method.value} requires strictly positive "
+                f"values; got {value!r} for platform {platform!r}"
             ) from None
         columns.append(iter(normalized.values))
     return {

@@ -11,33 +11,36 @@ origin; relative distance compares a platform against the strongest
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, EmptyInputError, MethodMismatchError
-from .ingest import csv_text
+from .ingest import checked_make, csv_text
 
 _VALID_LEVELS = (0.0, 1.0, 2.0, 3.0)
 
 
-@dataclass(frozen=True)
-class NcapCoordinate:
-    """One platform's position in autonomy space under one combination method."""
-
+class _NcapCoordinate(NamedTuple):
     platform: str
     x: float  # autonomy level, 0..3
     y: float  # component-performance score; may be negative under z-scoring
     method: str
 
-    def __post_init__(self):
-        if float(self.x) not in _VALID_LEVELS:
-            raise DomainError(f"autonomy level must be one of 0..3, got {self.x!r}")
-        if not math.isfinite(self.y):
-            raise DomainError(f"performance score must be finite, got {self.y!r}")
+
+class NcapCoordinate(_NcapCoordinate):
+    """One platform's position in autonomy space under one combination method."""
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(cls, platform: str, x: float, y: float, method: str):
+        if float(x) not in _VALID_LEVELS:
+            raise DomainError(f"autonomy level must be one of 0..3, got {x!r}")
+        if not math.isfinite(y):
+            raise DomainError(f"performance score must be finite, got {y!r}")
+        return super().__new__(cls, platform, x, y, method)
 
 
-@dataclass(frozen=True)
-class DistanceReport:
+class DistanceReport(NamedTuple):
     """Absolute and reference-relative autonomy distances for one method."""
 
     method: str

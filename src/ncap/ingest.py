@@ -17,10 +17,10 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import yaml
 from yaml.constructor import ConstructorError, SafeConstructor
@@ -127,60 +127,98 @@ class MissingValuePolicy(Enum):
     EXCLUDE = "exclude"
 
 
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Declaration of one feature: merit direction, unit label, token encodings."""
+def checked_make(cls, iterable):
+    """``_make``, and so ``_replace``, of a checked record. typing.NamedTuple
+    forbids ``__new__`` in its own body, so a checked record subclasses a
+    NamedTuple of its fields and checks them in ``__new__``; this sends
+    ``_make`` through that check too."""
+    return cls(*iterable)
 
+
+def _first_repeat(items):
+    """The first item equal to an earlier one (None when all differ)."""
+    seen = set()
+    for item in items:
+        if item in seen:
+            return item
+        seen.add(item)
+
+
+class _FeatureSpec(NamedTuple):
     name: str
     direction: Direction
     unit: str = ""
     encoding: Mapping[str, float] | None = None
 
-    def __post_init__(self):
-        if self.encoding is not None:
+
+class FeatureSpec(_FeatureSpec):
+    """Declaration of one feature: merit direction, unit label, token encodings."""
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(
+        cls,
+        name: str,
+        direction: Direction,
+        unit: str = "",
+        encoding: Mapping[str, float] | None = None,
+    ):
+        if encoding is not None:
             numbers = {}
-            for token, value in self.encoding.items():
+            for token, value in encoding.items():
                 number = _finite(value)
                 if number is None or number <= 0:
                     raise ConfigError(
-                        f"feature {self.name!r}: encoding for token {token!r} "
+                        f"feature {name!r}: encoding for token {token!r} "
                         f"must be a positive finite number, got {value!r}"
                     )
                 numbers[token] = number
-            object.__setattr__(self, "encoding", numbers)
+            encoding = numbers
+        return super().__new__(cls, name, direction, unit, encoding)
 
 
-@dataclass(frozen=True)
-class FeatureMatrix:
-    """Platforms x features grid of numeric values; None marks a missing cell."""
-
+class _FeatureMatrix(NamedTuple):
     platforms: tuple[str, ...]
     features: tuple[FeatureSpec, ...]
     values: tuple[tuple[float | None, ...], ...]
 
-    def __post_init__(self):
-        if not self.platforms or not self.features:
+
+class FeatureMatrix(_FeatureMatrix):
+    """Platforms x features grid of numeric values; None marks a missing cell."""
+
+    __slots__ = ()
+    _make = classmethod(checked_make)
+
+    def __new__(
+        cls,
+        platforms: tuple[str, ...],
+        features: tuple[FeatureSpec, ...],
+        values: tuple[tuple[float | None, ...], ...],
+    ):
+        if not platforms or not features:
             raise FormatError("feature matrix needs at least one platform and one feature")
-        if len(set(self.platforms)) != len(self.platforms):
-            raise FormatError("duplicate platform ids")
-        names = [f.name for f in self.features]
+        if len(set(platforms)) != len(platforms):
+            raise FormatError(f"duplicate platform id {_first_repeat(platforms)!r}")
+        names = [f.name for f in features]
         if len(set(names)) != len(names):
-            raise FormatError("duplicate feature names")
-        if len(self.values) != len(self.platforms):
+            raise FormatError(f"duplicate feature name {_first_repeat(names)!r}")
+        if len(values) != len(platforms):
             raise FormatError(
-                f"value grid has {len(self.values)} rows for {len(self.platforms)} platforms"
+                f"value grid has {len(values)} rows for {len(platforms)} platforms"
             )
-        for platform, row in zip(self.platforms, self.values):
-            if len(row) != len(self.features):
+        for platform, row in zip(platforms, values):
+            if len(row) != len(features):
                 raise FormatError(
                     f"row for {platform!r} has {len(row)} cells, "
-                    f"expected {len(self.features)}"
+                    f"expected {len(features)}"
                 )
-            for spec, cell in zip(self.features, row):
+            for spec, cell in zip(features, row):
                 if cell is not None and not math.isfinite(cell):
                     raise FormatError(
                         f"non-finite value {cell!r} at ({platform!r}, {spec.name!r})"
                     )
+        return super().__new__(cls, platforms, features, values)
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -199,8 +237,7 @@ class FeatureMatrix:
         ]
 
 
-@dataclass(frozen=True)
-class ResolvedMatrix:
+class ResolvedMatrix(NamedTuple):
     """A feature matrix paired with a per-cell presence mask.
 
     Under the error and column-mean policies the matrix carries no missing
@@ -216,14 +253,13 @@ class ResolvedMatrix:
         return all(all(row) for row in self.present)
 
 
-@dataclass(frozen=True)
-class EvalConfig:
+class EvalConfig(NamedTuple):
     """Parsed evaluation config: feature declarations plus run policies."""
 
     features: tuple[FeatureSpec, ...]
     weights: Mapping[str, float] | None = None
     missing: MissingValuePolicy | None = None
-    profiles: Mapping[str, CapabilityProfile] = field(default_factory=dict)
+    profiles: Mapping[str, CapabilityProfile] = MappingProxyType({})
 
 
 def load_config(path: str | Path) -> EvalConfig:

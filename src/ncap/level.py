@@ -9,16 +9,15 @@ plans without a human in the loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 from .errors import InadmissibleProfileError
 
 LAYERS_ABOVE_PERCEPTION = ("modeling", "planning", "execution")
 
 
-@dataclass(frozen=True)
-class CapabilityProfile:
+class CapabilityProfile(NamedTuple):
     """Per-platform capability booleans, with optional free-text evidence notes."""
 
     platform: str
@@ -26,11 +25,10 @@ class CapabilityProfile:
     planning: bool
     execution: bool
     perception: bool = True
-    evidence: Mapping[str, str] = field(default_factory=dict)
+    evidence: Mapping[str, str] = MappingProxyType({})
 
 
-@dataclass(frozen=True)
-class AutonomyLevel:
+class AutonomyLevel(NamedTuple):
     """Classified level in 0..3 plus notes about skipped (non-cumulative) layers."""
 
     value: int

@@ -9,9 +9,8 @@ deliberately not done here; the aggregation layer applies signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, EmptyColumnError
 
@@ -23,8 +22,7 @@ class NormalizationMethod(Enum):
     ZSC = "zsc"
 
 
-@dataclass(frozen=True)
-class NormalizedColumn:
+class NormalizedColumn(NamedTuple):
     """A normalized feature column, same length and order as its input."""
 
     values: tuple[float, ...]
@@ -65,7 +63,8 @@ def eta_map(column: Sequence[float]) -> NormalizedColumn:
     """Map the column range onto [0, 1]: minimum to 0, maximum to 1.
 
     An all-equal column carries no ordering information and maps to the
-    neutral midpoint 0.5 everywhere.
+    neutral midpoint 0.5 everywhere. A range wider than the largest float
+    raises OverflowError.
     """
     if not column:
         raise EmptyColumnError("eta_map: empty column")
@@ -73,6 +72,8 @@ def eta_map(column: Sequence[float]) -> NormalizedColumn:
     if lo == hi:
         return NormalizedColumn((0.5,) * len(column), NormalizationMethod.MAP)
     span = hi - lo
+    if not math.isfinite(span):
+        raise OverflowError(f"eta_map: range {lo!r} to {hi!r} overflows")
     return NormalizedColumn(tuple((v - lo) / span for v in column), NormalizationMethod.MAP)
 
 

@@ -14,15 +14,13 @@ merge sort of y in that order counts discordant pairs as inversions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import DimensionError, DomainError, InsufficientMethodsError
 
 
-@dataclass(frozen=True)
-class RankTable:
+class RankTable(NamedTuple):
     """Per-method platform ranks (1 = best), with tie groups made explicit.
 
     Competition ranking: tied platforms share the smallest rank of their
@@ -34,8 +32,7 @@ class RankTable:
     tie_groups: Mapping[str, tuple[tuple[str, ...], ...]]
 
 
-@dataclass(frozen=True)
-class AgreementStats:
+class AgreementStats(NamedTuple):
     """Pairwise tau-b values and unanimity flags across method columns."""
 
     methods: tuple[str, ...]

@@ -344,6 +344,12 @@ def weighted_sum_oracle(matrix, weights, method, present=None, sample_std=False)
             raise DomainError(
                 f"feature {spec.name!r}: values too large for eta_{method.value}"
             ) from None
+        except DomainError:
+            i = next(i for i in holders if matrix.values[i][j] <= 0)
+            raise DomainError(
+                f"feature {spec.name!r}: eta_{method.value} requires strictly positive "
+                f"values; got {matrix.values[i][j]!r} for platform {matrix.platforms[i]!r}"
+            ) from None
         normalized.append(dict(zip(holders, column.values)))
     scores = {}
     for i, platform in enumerate(matrix.platforms):

@@ -520,6 +520,26 @@ def _mean_fill_overflow(tmp_path, matrix, config):
     return _one_feature(tmp_path, ["1e308", "1.5e308", "-"]) + ["--missing", "mean"]
 
 
+def _map_range_overflow(tmp_path, matrix, config):
+    return _one_feature(tmp_path, ["1e308", "-1e308"]) + ["--methods", "map"]
+
+
+def _nonpositive(method):
+    """score under ``method`` over a two-feature matrix whose column a holds
+    -3 on its third row and nothing on its first."""
+
+    def make_argv(tmp_path, matrix, config):
+        argv = _score_files(
+            tmp_path,
+            "}\n  - {name: b, direction: more_is_better}\n",
+            matrix="platform,a,b\np0,,1\np1,4,2\np2,-3,3\n",
+        )
+        return argv + ["--missing", "exclude", "--methods", method]
+
+    make_argv.__name__ = f"nonpositive_under_{method}"
+    return make_argv
+
+
 def _bad_yaml(tmp_path, matrix, config):
     bad = tmp_path / "c.yaml"
     bad.write_text("features: [\n")
@@ -693,6 +713,9 @@ UNBUILDABLE_CASES = [
         (_bad_yaml, "ConfigError"),
         (_sum_overflow, "DomainError"),
         (_zsc_overflow, "DomainError"),
+        (_map_range_overflow, "DomainError: feature 'a'"),
+        (_nonpositive("max"), "DomainError: feature 'a'"),
+        (_nonpositive("sum"), "DomainError: feature 'a'"),
         (_mean_fill_overflow, "DomainError"),
         (_product_subnormal, "ProductDomainError"),
         (_feature_mixed_keys, "ConfigError"),
@@ -732,6 +755,26 @@ def test_failure_is_one_error_line(
     assert out == ""
     assert err.startswith(f"error: {error}: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "make_argv,detail",
+    [
+        (
+            _nonpositive("max"),
+            "feature 'a': eta_max requires strictly positive values; got -3.0 for platform 'p2'",
+        ),
+        (
+            _nonpositive("sum"),
+            "feature 'a': eta_sum requires strictly positive values; got -3.0 for platform 'p2'",
+        ),
+        (_map_range_overflow, "feature 'a': values too large for eta_map"),
+    ],
+    ids=["max", "sum", "map_overflow"],
+)
+def test_normalization_error_names_feature_and_platform(tmp_path, capsys, make_argv, detail):
+    code, out, err = run(capsys, *make_argv(tmp_path, None, None))
+    assert (code, out, err) == (1, "", f"error: DomainError: {detail}\n")
 
 
 YAML_LOADERS = [

@@ -19,3 +19,20 @@ def test_import_ncap_loads_neither_scipy_nor_numpy():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_import_ncap_cli_loads_neither_dataclasses_nor_inspect():
+    """The records are named tuples; dataclasses would bring inspect, ast, dis
+    and tokenize into every cold command."""
+    probe = (
+        "import sys; before = set(sys.modules); import ncap.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

@@ -88,6 +88,14 @@ def test_duplicate_platform_id():
         parse_feature_matrix_text("platform,a\np0,1\np0,2\n", cfg)
 
 
+def test_duplicates_are_named():
+    cfg = config(spec("a"), spec("b"))
+    with pytest.raises(FormatError, match=r"^duplicate feature name 'b'$"):
+        parse_feature_matrix_text("platform,b,a,b,a\np0,1,2,3,4\n", cfg)
+    with pytest.raises(FormatError, match=r"^duplicate platform id 'p1'$"):
+        parse_feature_matrix_text("platform,a\np0,1\np1,2\np1,3\np0,4\n", cfg)
+
+
 def test_undeclared_feature_is_config_error():
     cfg = config(spec("a"))
     with pytest.raises(ConfigError, match="'b'"):

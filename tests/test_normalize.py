@@ -79,6 +79,12 @@ def test_eta_map_flight_times():
     assert got == pytest.approx(expected, abs=1e-12)
 
 
+def test_eta_map_range_overflow_raises():
+    with pytest.raises(OverflowError, match="eta_map"):
+        eta_map([1e308, -1e308])
+    assert eta_map([1e308, 0.0]).values == (1.0, 0.0)
+
+
 def test_eta_map_empty():
     with pytest.raises(EmptyColumnError):
         eta_map([])
