@@ -128,6 +128,12 @@ def _shared(matrix: FeatureMatrix, weights: WeightVector, present):
     return signed, [None if all(row) else math.fsum(compress(weights.weights, row)) for row in present]
 
 
+def _complete(shared) -> bool:
+    """Whether no cell is absent, so every platform weighs by sign * w."""
+    usable = shared[1]
+    return usable.count(None) == len(usable)
+
+
 def _weight_rows(platforms: Sequence[str], shared):
     """Each platform's signed effective weights, one row at a time: sign * w
     for a complete row, else (sign * w) / usable, which has the bits of
@@ -142,9 +148,10 @@ def _weight_rows(platforms: Sequence[str], shared):
             yield list(map(truediv, signed, repeat(total)))
 
 
-def _sum_scores(matrix, method, present, rows, sample_std) -> dict[str, float]:
-    """Normalize each column over its present cells; each platform's score then
-    takes the next value of every column it is present in."""
+def _sum_scores(matrix, method, present, shared, sample_std) -> dict[str, float]:
+    """Normalize each column over its present cells, then sum each platform's
+    signed weighted values. A complete matrix forms the products a column
+    at a time; fsum is correctly rounded, so their order changes no bit."""
     columns = []
     for spec, column, mask in zip(matrix.features, zip(*matrix.values), zip(*present)):
         try:
@@ -161,15 +168,37 @@ def _sum_scores(matrix, method, present, rows, sample_std) -> dict[str, float]:
                 f"feature {spec.name!r}: eta_{method.value} requires strictly positive "
                 f"values; got {value!r} for platform {platform!r}"
             ) from None
-        columns.append(iter(normalized.values))
+        columns.append(normalized.values)
+    if _complete(shared):
+        terms = [map(mul, repeat(signed), column) for signed, column in zip(shared[0], columns)]
+        return dict(zip(matrix.platforms, map(math.fsum, zip(*terms))))
+    # each platform takes the next value of every column it is present in
+    columns = list(map(iter, columns))
     return {
         platform: math.fsum(map(mul, compress(signed, row), map(next, compress(columns, row))))
-        for platform, signed, row in zip(matrix.platforms, rows, present)
+        for platform, signed, row in zip(
+            matrix.platforms, _weight_rows(matrix.platforms, shared), present
+        )
     }
 
 
-def _product_scores(matrix, present, rows) -> dict[str, float]:
+def _product_scores(matrix, present, shared) -> dict[str, float]:
+    """Multiply each platform's value ** (signed weight) in column order from
+    1.0. A complete matrix of positive values raises its columns in one
+    pass each; on any other input, or an overflow, the row loop scores and
+    names the first bad cell in row-major order."""
+    if _complete(shared) and min(map(min, matrix.values)) > 0:
+        factors = [
+            map(pow, column, repeat(signed))
+            for signed, column in zip(shared[0], zip(*matrix.values))
+        ]
+        try:
+            # math.prod starts from the int 1, and 1 * x is x exactly
+            return dict(zip(matrix.platforms, map(math.prod, zip(*factors))))
+        except OverflowError:
+            pass
     scores: dict[str, float] = {}
+    rows = _weight_rows(matrix.platforms, shared)
     for platform, signed, values, row in zip(matrix.platforms, rows, matrix.values, present):
         score = 1.0
         for spec, exponent, value, ok in zip(matrix.features, signed, values, row):
@@ -204,8 +233,7 @@ def weighted_sum(
     score, where the sign is -1 for less-is-better features.
     """
     present = _checked_mask(matrix, weights, present)
-    rows = _weight_rows(matrix.platforms, _shared(matrix, weights, present))
-    return _sum_scores(matrix, method, present, rows, sample_std)
+    return _sum_scores(matrix, method, present, _shared(matrix, weights, present), sample_std)
 
 
 def weighted_product(
@@ -219,8 +247,7 @@ def weighted_product(
     exponents, so larger raw values shrink the score.
     """
     present = _checked_mask(matrix, weights, present)
-    rows = _weight_rows(matrix.platforms, _shared(matrix, weights, present))
-    return _product_scores(matrix, present, rows)
+    return _product_scores(matrix, present, _shared(matrix, weights, present))
 
 
 def score_table(
@@ -240,11 +267,10 @@ def score_table(
     shared = _shared(matrix, weights, present)
     columns: dict[str, dict[str, float]] = {}
     for method in methods:
-        rows = _weight_rows(matrix.platforms, shared)
         if method == "product":
-            columns[method] = _product_scores(matrix, present, rows)
+            columns[method] = _product_scores(matrix, present, shared)
         else:
             columns[method] = _sum_scores(
-                matrix, NormalizationMethod(method), present, rows, sample_std
+                matrix, NormalizationMethod(method), present, shared, sample_std
             )
     return ScoreTable(platforms=matrix.platforms, columns=columns)

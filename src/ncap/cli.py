@@ -198,11 +198,16 @@ def _load_score_csv(path: Path, methods: tuple[str, ...]) -> ScoreTable:
     _, header = next(rows, (1, []))
     if not {"platform", "method", "score"}.issubset(header):
         raise FormatError(f"score file {path} must have columns platform,method,score")
+    for name in ("platform", "method", "score"):
+        if header.count(name) > 1:
+            raise FormatError(f"score file {path}: column {name!r} appears more than once")
     at = [header.index(name) for name in ("platform", "method", "score")]
     platforms: dict[str, None] = {}  # insertion-ordered set
     columns: dict[str, dict[str, float]] = {m: {} for m in methods}
     for line, cells in rows:
         platform, method, score = (cells[i] for i in at)
+        if not platform:
+            raise FormatError(f"score file {path}, line {line}: empty platform id")
         if method not in columns:
             continue
         if platform in columns[method]:

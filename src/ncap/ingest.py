@@ -464,6 +464,8 @@ def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
     grid: list[tuple[float | None, ...]] = []
     for line_no, cells in rows:
         platform = cells[0]
+        if not platform:
+            raise FormatError(f"line {line_no}: empty platform id")
         platforms.append(platform)
         grid.append(
             tuple(

@@ -6,16 +6,24 @@ rank columns and quantifies how much any two methods agree via the
 tie-corrected Kendall tau-b.
 
 Tau-b is counted in O(n log n) as in Knight [1966, JASA 61:436, "A
-computer method for calculating Kendall's tau with ungrouped data"]:
-sorting the (x, y) pairs gives x and joint ties as run lengths, and a
-merge sort of y in that order counts discordant pairs as inversions.
+computer method for calculating Kendall's tau with ungrouped data"], on
+C-level builtins. Each column is dense-ranked to the ints 0..k-1, and each
+pair of columns becomes one int key x * n + y per platform. Sorting the
+keys gives the joint ties as runs of equal keys; each column's own ties
+are counted once from its value counts. Discordant pairs are the
+inversions of y in key order: counted by insertion into sorted blocks of
+64, then by bottom-up merges of sorted runs, where a run pair adds the
+pairs of its left run above each value of its right run.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import groupby
-from typing import Iterable, Mapping, NamedTuple
+from bisect import bisect_right, insort
+from collections import Counter
+from itertools import repeat
+from operator import add, mod, mul
+from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import DimensionError, DomainError, InsufficientMethodsError
 
@@ -74,50 +82,73 @@ def rank_table(columns: Mapping[str, Mapping[str, float]]) -> RankTable:
     return RankTable(platforms=platforms, columns=ranked, tie_groups=ties)
 
 
-def _tied_pairs(ordered: Iterable) -> int:
-    """Pairs of equal values in a sorted sequence, from its run lengths."""
-    runs = (len(list(run)) for _, run in groupby(ordered))
-    return sum(t * (t - 1) // 2 for t in runs)
+#: Values per insertion-sorted block when counting inversions.
+_BLOCK = 64
 
 
-def _merge_sort(values: list) -> tuple[list, int]:
-    """Sort ascending; also count the inversions (i < j, values[i] > values[j])."""
-    if len(values) < 2:
-        return values, 0
-    mid = len(values) // 2
-    left, inv_left = _merge_sort(values[:mid])
-    right, inv_right = _merge_sort(values[mid:])
-    merged, i, inversions = [], 0, inv_left + inv_right
-    for value in right:
-        while i < len(left) and left[i] <= value:
-            merged.append(left[i])
-            i += 1
-        merged.append(value)
-        inversions += len(left) - i
-    merged.extend(left[i:])
-    return merged, inversions
+def _dense(values: list) -> list[int]:
+    """Each value's position among the distinct values, ascending: equal
+    values share an int and order is kept, so any comparable values can
+    be keyed without two keys colliding."""
+    position = {v: i for i, v in enumerate(sorted(set(values)))}
+    return list(map(position.__getitem__, values))
 
 
-def kendall_tau(a: Mapping[str, int], b: Mapping[str, int]) -> float:
+def _tied_pairs(values: Iterable) -> int:
+    """Pairs of equal values, from the count of each value."""
+    return sum(map(math.comb, Counter(values).values(), repeat(2)))
+
+
+def _inversions(values: list[int]) -> int:
+    """Pairs i < j with values[i] > values[j]: insertion into sorted blocks,
+    then bottom-up merges of neighbouring sorted runs."""
+    inversions = 0
+    runs = []
+    for start in range(0, len(values), _BLOCK):
+        run: list[int] = []
+        for value in values[start : start + _BLOCK]:
+            inversions += len(run) - bisect_right(run, value)
+            insort(run, value)
+        runs.append(run)
+    while len(runs) > 1:
+        merged = []
+        for left, right in zip(runs[::2], runs[1::2]):
+            # each right value is inverted with every left value above it
+            inversions += len(left) * len(right) - sum(map(bisect_right, repeat(left), right))
+            merged.append(sorted(left + right))
+        runs = merged + runs[2 * len(merged) :]
+    return inversions
+
+
+def _tau_b(xs: list[int], ys: list[int], ties_x: int, ties_y: int) -> float:
+    """Tau-b of two dense-ranked columns in platform order, given the tied
+    pairs within each column; nan when either column is one big tie."""
+    n = len(xs)
+    n0 = n * (n - 1) // 2
+    if ties_x == n0 or ties_y == n0:
+        return math.nan
+    # dense ranks lie in 0..n-1, so x * n + y orders the pairs as (x, y) does
+    keys = sorted(map(add, map(mul, xs, repeat(n)), ys))
+    ties_xy = _tied_pairs(keys)
+    # y ascends within each x run, so every inversion of y is a discordant pair
+    discordant = _inversions(list(map(mod, keys, repeat(n))))
+    concordant = n0 - ties_x - ties_y + ties_xy - discordant
+    tau = (concordant - discordant) / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
+    return min(1.0, max(-1.0, tau))
+
+
+def kendall_tau(a: Mapping[str, Any], b: Mapping[str, Any]) -> float:
     """Tie-corrected Kendall tau-b between two rank columns, in [-1, 1].
 
+    The ranks may be any comparable values; only their order matters.
     Returns nan when either column is one big tie (tau-b is undefined
     there: no pair is ever concordant or discordant).
     """
     if set(a) != set(b):
         raise DimensionError("kendall_tau: platform sets differ")
-    pairs = sorted((a[p], b[p]) for p in a)
-    n0 = len(pairs) * (len(pairs) - 1) // 2
-    ties_x = _tied_pairs(x for x, _ in pairs)
-    ties_xy = _tied_pairs(pairs)
-    # y ascends within each x run, so every inversion of y is a discordant pair
-    ys, discordant = _merge_sort([y for _, y in pairs])
-    ties_y = _tied_pairs(ys)
-    if ties_x == n0 or ties_y == n0:
-        return math.nan
-    concordant = n0 - ties_x - ties_y + ties_xy - discordant
-    tau = (concordant - discordant) / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
-    return min(1.0, max(-1.0, tau))
+    xs = _dense(list(a.values()))
+    ys = _dense(list(map(b.__getitem__, a)))
+    return _tau_b(xs, ys, _tied_pairs(xs), _tied_pairs(ys))
 
 
 def consensus_report(ranks: RankTable) -> AgreementStats:
@@ -130,19 +161,26 @@ def consensus_report(ranks: RankTable) -> AgreementStats:
     methods = tuple(ranks.columns)
     if len(methods) < 2:
         raise InsufficientMethodsError("consensus needs at least two method columns")
+    platforms = set(ranks.platforms)
+    if any(column.keys() != platforms for column in ranks.columns.values()):
+        raise DimensionError("consensus_report: platform sets differ")
+    # each column once, in platform order: its ranks, dense ranks and own ties
+    columns = [list(map(ranks.columns[m].__getitem__, ranks.platforms)) for m in methods]
+    dense = [_dense(column) for column in columns]
+    ties = [_tied_pairs(xs) for xs in dense]
+    n0 = len(ranks.platforms) * (len(ranks.platforms) - 1) // 2
     # fill the upper triangle and mirror: keeps the matrix exactly symmetric
     tau: dict[tuple[str, str], float] = {}
     for i, m1 in enumerate(methods):
         # a column agrees with itself, unless it is one tie (tau-b undefined)
-        tau[(m1, m1)] = 1.0 if len(set(ranks.columns[m1].values())) > 1 else math.nan
-        for m2 in methods[i + 1 :]:
-            value = kendall_tau(ranks.columns[m1], ranks.columns[m2])
-            tau[(m1, m2)] = value
-            tau[(m2, m1)] = value
+        tau[(m1, m1)] = 1.0 if ties[i] != n0 else math.nan
+        for j in range(i + 1, len(methods)):
+            value = _tau_b(dense[i], dense[j], ties[i], ties[j])
+            tau[(m1, methods[j])] = value
+            tau[(methods[j], m1)] = value
     agreed: dict[int, list[str]] = {}
-    for p in ranks.platforms:
-        first, *rest = (ranks.columns[m][p] for m in methods)
-        if all(r == first for r in rest):
-            agreed.setdefault(first, []).append(p)
+    for p, row in zip(ranks.platforms, zip(*columns)):
+        if row.count(row[0]) == len(row):
+            agreed.setdefault(row[0], []).append(p)
     unanimous = {rank: tuple(agreed[rank]) for rank in sorted(agreed)}
     return AgreementStats(methods=methods, tau=tau, unanimous=unanimous)

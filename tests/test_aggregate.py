@@ -419,10 +419,13 @@ FULL = POSITIVE + [0.0, -0.0, -1.0, -2.5, 1.5e308]
 
 
 @st.composite
-def masked_inputs(draw):
+def masked_inputs(draw, complete=False):
+    """A matrix, weights and its presence mask; a complete one has no
+    absent cell, so it is scored a column at a time."""
     n = draw(st.integers(min_value=1, max_value=6))
     m = draw(st.integers(min_value=1, max_value=5))
-    cells = st.sampled_from(draw(st.sampled_from([PLAIN, POSITIVE, FULL])))
+    pool = draw(st.sampled_from([PLAIN, POSITIVE, FULL]))
+    cells = st.sampled_from([c for c in pool if c is not None] if complete else pool)
     rows = draw(
         st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n)
     )
@@ -441,6 +444,22 @@ def masked_inputs(draw):
 @given(masked_inputs(), st.booleans(), st.permutations(["max", "sum", "map", "zsc", "product"]))
 @settings(max_examples=400, deadline=None)
 def test_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
+    assert_scores_equal_oracle(inputs, sample_std, methods)
+
+
+@given(
+    masked_inputs(complete=True),
+    st.booleans(),
+    st.permutations(["max", "sum", "map", "zsc", "product"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_complete_matrix_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
+    assert_scores_equal_oracle(inputs, sample_std, methods)
+
+
+def assert_scores_equal_oracle(inputs, sample_std, methods):
+    """score_table, and each method alone under the mask and (when nothing
+    is absent) without one, score or fail exactly as the oracles do."""
     matrix, weights, present = inputs
     resolved = ResolvedMatrix(matrix=matrix, present=present)
     assert outcome(lambda: score_table(resolved, weights, methods, sample_std)) == outcome(
@@ -457,3 +476,42 @@ def test_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
         assert outcome(lambda: weighted_product(matrix, weights, mask)) == outcome(
             lambda: weighted_product_oracle(matrix, weights, mask)
         )
+
+
+@pytest.mark.parametrize(
+    "rows,directions,weights,detail",
+    [
+        (
+            [[1.0, 2.0, -1.0], [0.0, 1.0, 1.0]],
+            [MIB, MIB, MIB],
+            [0.25, 0.25, 0.5],
+            "needs positive values; got -1.0 at ('p0', 'f2')",
+        ),
+        (
+            [[1.0, 2.0, 5e-324], [0.0, 1.0, 1.0]],
+            [MIB, MIB, LIB],
+            [0.0, 0.0, 1.0],
+            "overflows at ('p0', 'f2'): 5e-324",
+        ),
+        (
+            [[1.0, 2.0, 1.0], [1.0, 1.0, 5e-324]],
+            [MIB, MIB, LIB],
+            [0.0, 0.0, 1.0],
+            "overflows at ('p1', 'f2'): 5e-324",
+        ),
+    ],
+    ids=["nonpositive", "overflow_then_nonpositive", "overflow_of_positive"],
+)
+def test_product_names_first_bad_cell_in_row_major_order(rows, directions, weights, detail):
+    # in the first two, p1's first cell comes first column by column, and
+    # p0's last comes first row by row; the last has only positive values
+    matrix = make_matrix(rows, directions=directions)
+    w = WeightVector.user_defined(weights)
+    resolved = resolve_missing(matrix, MissingValuePolicy.ERROR)
+    for call in (
+        lambda: weighted_product(matrix, w),
+        lambda: score_table(resolved, w, ["map", "product"]),
+    ):
+        with pytest.raises(ProductDomainError) as raised:
+            call()
+        assert str(raised.value).endswith(detail)

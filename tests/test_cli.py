@@ -641,6 +641,19 @@ def _scores_for_other_methods_distance(tmp_path, matrix, config):
     return _distance(_scores_for_other_methods(tmp_path, matrix, config), config)
 
 
+def _repeated_score_column(tmp_path, matrix, config):
+    rows = "p0,max,1,2\np1,max,2,1\np0,sum,2,2\np1,sum,1,1\n"
+    return _scores(tmp_path, rows, header="platform,method,score,score")
+
+
+def _empty_platform_in_scores(tmp_path, matrix, config):
+    return _scores(tmp_path, "p0,max,1\n,max,2\np0,sum,2\n,sum,1\n")
+
+
+def _empty_platform_in_matrix(tmp_path, matrix, config):
+    return _score_files(tmp_path, matrix="platform,a\np0,1\n,2\n")
+
+
 def _infinite_score(tmp_path, matrix, config):
     return _scores(tmp_path, "p0,max,1\np1,max,inf\np0,sum,2\np1,sum,1\n")
 
@@ -735,6 +748,9 @@ UNBUILDABLE_CASES = [
         (_header_only_scores_distance, "FormatError"),
         (_scores_for_other_methods, "FormatError"),
         (_scores_for_other_methods_distance, "FormatError"),
+        (_repeated_score_column, "FormatError"),
+        (_empty_platform_in_scores, "FormatError"),
+        (_empty_platform_in_matrix, "FormatError: line 3"),
         (_infinite_score, "DomainError"),
         (_weight_beyond_float_range, "ConfigError"),
         (_level_without_profiles, "ConfigError"),
@@ -775,6 +791,21 @@ def test_failure_is_one_error_line(
 def test_normalization_error_names_feature_and_platform(tmp_path, capsys, make_argv, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, None, None))
     assert (code, out, err) == (1, "", f"error: DomainError: {detail}\n")
+
+
+@pytest.mark.parametrize(
+    "make_argv,detail",
+    [
+        (_repeated_score_column, "column 'score' appears more than once"),
+        (_empty_platform_in_scores, "line 3: empty platform id"),
+        (_empty_platform_in_matrix, "line 3: empty platform id"),
+    ],
+    ids=["repeated_score_column", "empty_id_in_scores", "empty_id_in_matrix"],
+)
+def test_rejected_input_names_its_cause(tmp_path, capsys, make_argv, detail):
+    code, out, err = run(capsys, *make_argv(tmp_path, None, None))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: FormatError: ") and err.endswith(f"{detail}\n")
 
 
 YAML_LOADERS = [

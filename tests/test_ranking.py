@@ -1,12 +1,15 @@
 import math
+import random
+from itertools import groupby
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncap import (
     DimensionError,
     DomainError,
     InsufficientMethodsError,
+    RankTable,
     consensus_report,
     kendall_tau,
     rank_scores,
@@ -38,6 +41,51 @@ def tau_b_oracle(x, y):
         return float("nan")
     tau = (concordant - discordant) / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
     return min(1.0, max(-1.0, tau))
+
+
+def _tied_pairs(ordered):
+    """Pairs of equal values in a sorted sequence, from its run lengths."""
+    return sum(t * (t - 1) // 2 for t in (len(list(run)) for _, run in groupby(ordered)))
+
+
+def _merge_sort(values):
+    """Sort ascending; also count the inversions (i < j, values[i] > values[j])."""
+    if len(values) < 2:
+        return values, 0
+    mid = len(values) // 2
+    left, inv_left = _merge_sort(values[:mid])
+    right, inv_right = _merge_sort(values[mid:])
+    merged, i, inversions = [], 0, inv_left + inv_right
+    for value in right:
+        while i < len(left) and left[i] <= value:
+            merged.append(left[i])
+            i += 1
+        merged.append(value)
+        inversions += len(left) - i
+    merged.extend(left[i:])
+    return merged, inversions
+
+
+def tau_b_merge_oracle(x, y):
+    """Tau-b in O(n log n) from (x, y) tuples: one sort, three run-length tie
+    counts and a recursive merge sort of y for the discordant pairs. Cheap
+    enough for thousands of values, where the exhaustive count is not."""
+    pairs = sorted(zip(x, y))
+    n0 = len(pairs) * (len(pairs) - 1) // 2
+    ties_x = _tied_pairs(a for a, _ in pairs)
+    ties_xy = _tied_pairs(pairs)
+    ys, discordant = _merge_sort([b for _, b in pairs])
+    ties_y = _tied_pairs(ys)
+    if ties_x == n0 or ties_y == n0:
+        return math.nan
+    concordant = n0 - ties_x - ties_y + ties_xy - discordant
+    tau = (concordant - discordant) / math.sqrt(n0 - ties_x) / math.sqrt(n0 - ties_y)
+    return min(1.0, max(-1.0, tau))
+
+
+def same_tau(got, expected):
+    """Equal floats, with nan matching nan."""
+    return got == expected or (math.isnan(got) and math.isnan(expected))
 
 
 def rank_oracle(scores):
@@ -136,6 +184,16 @@ def test_consensus_identical_columns():
     assert stats.unanimous[1] == ("UAS E",)
 
 
+def test_consensus_platform_mismatch():
+    table = RankTable(
+        platforms=("a", "b"),
+        columns={"m1": {"a": 1, "b": 2}, "m2": {"a": 1, "c": 2}},
+        tie_groups={},
+    )
+    with pytest.raises(DimensionError):
+        consensus_report(table)
+
+
 def test_consensus_needs_two_methods():
     with pytest.raises(InsufficientMethodsError):
         consensus_report(rank_table({"only": UNIFORM_SCORES["max"]}))
@@ -185,42 +243,110 @@ def test_rank_scores_equals_oracle(values):
     assert list(rank_scores(scores).items()) == list(rank_oracle(scores).items())
 
 
-# up to 60 values from a range about n wide: the merge sort recurses
-# several levels deep and both columns carry ties
-@given(
-    st.integers(min_value=0, max_value=60).flatmap(
-        lambda n: st.tuples(
-            st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
-            st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n),
-        )
-    )
-)
+# Rank values need not be competition ranks: a pool is drawn per example,
+# and both columns draw from it. None stands for ints in 0..n, about as
+# many as the values; the others hold mostly values outside 1..n:
+# negatives, ints beyond any float's precision, and floats of both signs.
+RANK_POOLS = [
+    None,
+    [-(10**6), -7, -1, 0, 4],
+    [2**70, 2**70 + 1, 10**30, -(2**64), 3],
+    [-2.5, -0.0, 0.0, 0.5, 1e300, -1e300, 7.25],
+]
+
+
+@st.composite
+def rank_columns(draw):
+    """Two columns of up to 300 values: several blocks of the inversion count."""
+    n = draw(st.integers(min_value=0, max_value=300))
+    pool = draw(st.sampled_from(RANK_POOLS))
+    values = st.integers(min_value=0, max_value=n) if pool is None else st.sampled_from(pool)
+    column = st.lists(values, min_size=n, max_size=n)
+    return draw(column), draw(column)
+
+
+@given(rank_columns())
+@settings(deadline=None)
 def test_kendall_tau_equals_oracle(pair):
     xs, ys = pair
     a = {f"p{i}": x for i, x in enumerate(xs)}
     b = {f"p{i}": y for i, y in enumerate(ys)}
-    got = kendall_tau(a, b)
-    expected = tau_b_oracle(xs, ys)
-    if math.isnan(expected):
-        assert math.isnan(got)
-    else:
-        assert got == expected
+    assert same_tau(kendall_tau(a, b), tau_b_oracle(xs, ys))
 
 
+@pytest.mark.parametrize("n", [63, 64, 65, 129, 300])
+def test_kendall_tau_at_block_edges_equals_oracle(n):
+    rng = random.Random(n)
+    xs = [rng.randrange(n // 4) for _ in range(n)]
+    ys = [x + rng.randrange(n // 2) for x in xs]
+    a = {f"p{i}": x for i, x in enumerate(xs)}
+    b = {f"p{i}": y for i, y in enumerate(ys)}
+    assert kendall_tau(a, b) == tau_b_oracle(xs, ys)
+    assert kendall_tau(b, a) == tau_b_oracle(ys, xs)
+
+
+def tied_permutations(n, group, seed):
+    """Two columns over n platforms: a shuffled 0..n-1 and a noisy copy of
+    it, each cut into ties of ``group`` neighbouring values."""
+    rng = random.Random(seed)
+    order = list(range(n))
+    rng.shuffle(order)
+    noisy = [v + rng.randrange(n // 5) for v in order]
+    return [v // group for v in order], [v // group for v in noisy]
+
+
+@pytest.mark.parametrize("n", [1000, 4097])
+@pytest.mark.parametrize("group", [1, 3, 40])
+def test_kendall_tau_at_scale_equals_merge_oracle(n, group):
+    xs, ys = tied_permutations(n, group, seed=n + group)
+    a = {f"p{i}": x for i, x in enumerate(xs)}
+    b = {f"p{i}": y for i, y in enumerate(ys)}
+    assert kendall_tau(a, b) == tau_b_merge_oracle(xs, ys)
+    reversed_b = {p: -y for p, y in b.items()}
+    assert kendall_tau(a, reversed_b) == tau_b_merge_oracle(xs, [-y for y in ys])
+
+
+def test_consensus_at_scale_equals_merge_oracle():
+    n = 3000
+    xs, ys = tied_permutations(n, 2, seed=7)
+    zs = [(i * 37) % 101 for i in range(n)]
+    table = RankTable(
+        platforms=tuple(f"p{i}" for i in range(n)),
+        columns={
+            name: {f"p{i}": v for i, v in enumerate(col)}
+            for name, col in (("x", xs), ("y", ys), ("z", zs))
+        },
+        tie_groups={},
+    )
+    stats = consensus_report(table)
+    columns = {"x": xs, "y": ys, "z": zs}
+    for a, b in (("x", "y"), ("x", "z"), ("y", "z")):
+        expected = tau_b_merge_oracle(columns[a], columns[b])
+        assert stats.tau[(a, b)] == stats.tau[(b, a)] == expected
+
+
+# up to 200 platforms, so the tied columns span several blocks of 64
 @given(
-    st.tuples(st.integers(1, 12), st.integers(2, 5)).flatmap(
+    st.tuples(st.integers(1, 200), st.integers(2, 5)).flatmap(
         lambda nk: st.lists(
             st.lists(TIED_SCORES, min_size=nk[0], max_size=nk[0]), min_size=nk[1], max_size=nk[1]
         )
     )
 )
+@settings(deadline=None)
 def test_consensus_equals_oracle(columns):
     table = rank_table(
         {f"m{k}": {f"p{i}": v for i, v in enumerate(col)} for k, col in enumerate(columns)}
     )
     stats = consensus_report(table)
     assert list(stats.unanimous.items()) == list(unanimous_oracle(table).items())
+    ranks = {m: [column[p] for p in table.platforms] for m, column in table.columns.items()}
     for m, column in table.columns.items():
         itself = kendall_tau(column, column)
         assert math.isnan(stats.tau[(m, m)]) == math.isnan(itself)
         assert math.isnan(itself) or stats.tau[(m, m)] == 1.0
+    for i, a in enumerate(stats.methods):
+        for b in stats.methods[i + 1 :]:
+            expected = tau_b_oracle(ranks[a], ranks[b])
+            assert same_tau(stats.tau[(a, b)], expected)
+            assert same_tau(stats.tau[(b, a)], expected)
