@@ -12,6 +12,11 @@ Two families of combination methods:
 
 Platforms with excluded (missing) cells have their remaining weights
 renormalized to sum to 1, so scores stay on a comparable scale.
+
+Every method reads one view per column, built once per call. An absent
+cell holds a present value of its column and the weight 0.0, so it enters
+a sum as a zero-weight term and the product as the unit factor x ** 0.0;
+every score keeps the bits its present cells alone give it.
 """
 
 from __future__ import annotations
@@ -19,12 +24,14 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import compress, repeat
-from operator import mul, truediv
+from operator import mul, not_, truediv
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import DimensionError, DomainError, MissingValueError, ProductDomainError
+from .errors import (
+    DimensionError, DomainError, EmptyColumnError, MissingValueError, ProductDomainError
+)
 from .ingest import FeatureMatrix, ResolvedMatrix, checked_make
-from .normalize import NormalizationMethod, normalize
+from .normalize import NormalizationMethod, _apply, _plan
 
 #: Combination-method tokens, in canonical presentation order.
 METHODS = ("max", "sum", "map", "zsc", "product")
@@ -88,9 +95,7 @@ class ScoreTable(_ScoreTable):
                 raise DimensionError(f"score column {method!r} does not cover all platforms")
             for platform, score in column.items():
                 if not math.isfinite(score):
-                    raise DomainError(
-                        f"non-finite score for {platform!r} under {method!r}"
-                    )
+                    raise DomainError(f"non-finite score for {platform!r} under {method!r}")
         return super().__new__(cls, platforms, columns)
 
     @property
@@ -106,7 +111,7 @@ def _checked_mask(
     if len(weights) != len(matrix.features):
         raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
     if present is None:
-        present = tuple((True,) * len(matrix.features) for _ in matrix.platforms)
+        present = ((True,) * len(matrix.features),) * len(matrix.platforms)
     elif len(present) != len(matrix.platforms) or any(
         len(row) != len(matrix.features) for row in present
     ):
@@ -121,102 +126,94 @@ def _checked_mask(
     return present
 
 
-def _shared(matrix: FeatureMatrix, weights: WeightVector, present):
-    """What every method shares: the signed weights sign * w, and each
-    platform's weight on its present features (None for a complete row)."""
-    signed = list(map(mul, [spec.direction.sign for spec in matrix.features], weights.weights))
-    return signed, [None if all(row) else math.fsum(compress(weights.weights, row)) for row in present]
-
-
-def _complete(shared) -> bool:
-    """Whether no cell is absent, so every platform weighs by sign * w."""
-    usable = shared[1]
-    return usable.count(None) == len(usable)
-
-
-def _weight_rows(platforms: Sequence[str], shared):
-    """Each platform's signed effective weights, one row at a time: sign * w
-    for a complete row, else (sign * w) / usable, which has the bits of
-    sign * (w / usable). Entries of absent cells are never read."""
-    signed, usable = shared
-    for platform, total in zip(platforms, usable):
-        if total is None:
-            yield signed
-        elif total <= 0:
-            raise DomainError(f"platform {platform!r} has no weight on any present feature")
-        else:
-            yield list(map(truediv, signed, repeat(total)))
-
-
-def _sum_scores(matrix, method, present, shared, sample_std) -> dict[str, float]:
-    """Normalize each column over its present cells, then sum each platform's
-    signed weighted values. A complete matrix forms the products a column
-    at a time; fsum is correctly rounded, so their order changes no bit."""
+def _columns(matrix: FeatureMatrix, weights: WeightVector, present):
+    """Per column (spec, mask, present values, their (min, max), the column
+    with absent cells holding that min, each platform's signed weight, 0.0
+    where absent), and the first platform with no weight on any present
+    feature. Weights are sign * w / usable, with usable 1.0 for a complete
+    row: the bits of sign * w there, and of sign * (w / usable) elsewhere."""
+    present = _checked_mask(matrix, weights, present)
+    usable = [1.0 if all(row) else math.fsum(compress(weights.weights, row)) for row in present]
+    idle = next(compress(matrix.platforms, map(not_, usable)), None)
+    usable = [total or 1.0 for total in usable]  # an idle platform's scores are never returned
+    # one weight column per signed weight; +0.0 and -0.0 may share one, as
+    # x * 0.0 is a zero that fsum drops either way and x ** 0.0 is 1.0
+    bases: dict[float, list[float]] = {}
     columns = []
-    for spec, column, mask in zip(matrix.features, zip(*matrix.values), zip(*present)):
+    signs = [spec.direction.sign for spec in matrix.features]
+    for spec, signed, column, mask in zip(
+        matrix.features, map(mul, signs, weights.weights), zip(*matrix.values), zip(*present)
+    ):
+        if signed not in bases:
+            bases[signed] = list(map(truediv, repeat(signed), usable))
+        found, filled, weights_j = column, column, bases[signed]
+        if not all(mask):
+            found = list(compress(column, mask))
+        bounds = (min(found), max(found)) if found else (1.0, 1.0)  # 1.0 fills an empty one
+        if found is not column:
+            filled, weights_j = list(column), list(weights_j)
+            for i in compress(range(len(mask)), map(not_, mask)):
+                filled[i], weights_j[i] = bounds[0], 0.0
+        columns.append((spec, mask, found, bounds, filled, weights_j))
+    return columns, idle
+
+
+def _sum_scores(platforms, columns, idle, method, sample_std) -> dict[str, float]:
+    """Normalize each column over its present cells, then sum each platform's
+    signed weighted values with fsum. An absent cell is a term of weight 0.0:
+    fsum is correctly rounded, so neither it nor the order changes a bit."""
+    terms = []
+    for spec, mask, found, bounds, filled, weights_j in columns:
+        what = f"feature {spec.name!r}: eta_{method.value}"
+        if method.value in ("max", "sum") and bounds[0] <= 0:  # name the first value <= 0
+            platform, value = next(
+                (p, v) for p, v, ok in zip(platforms, filled, mask) if ok and v <= 0
+            )
+            raise DomainError(
+                f"{what} requires strictly positive values; got {value!r} for platform {platform!r}"
+            )
         try:
-            normalized = normalize(list(compress(column, mask)), method, sample_std=sample_std)
+            plan = _plan(found, method, sample_std, bounds)
         except OverflowError:
             raise DomainError(
                 f"feature {spec.name!r}: values too large for eta_{method.value}"
             ) from None
-        except DomainError:  # max and sum need positive values; name the first other one
-            platform, value = next(
-                (p, v) for p, v, ok in zip(matrix.platforms, column, mask) if ok and v <= 0
-            )
-            raise DomainError(
-                f"feature {spec.name!r}: eta_{method.value} requires strictly positive "
-                f"values; got {value!r} for platform {platform!r}"
-            ) from None
-        columns.append(normalized.values)
-    if _complete(shared):
-        terms = [map(mul, repeat(signed), column) for signed, column in zip(shared[0], columns)]
-        return dict(zip(matrix.platforms, map(math.fsum, zip(*terms))))
-    # each platform takes the next value of every column it is present in
-    columns = list(map(iter, columns))
-    return {
-        platform: math.fsum(map(mul, compress(signed, row), map(next, compress(columns, row))))
-        for platform, signed, row in zip(
-            matrix.platforms, _weight_rows(matrix.platforms, shared), present
-        )
-    }
+        except EmptyColumnError:
+            need = "at least 2 present values" if method.value == "zsc" else "a present value"
+            raise EmptyColumnError(f"{what} needs {need}") from None
+        terms.append(map(mul, weights_j, _apply(plan, filled)))
+    if idle is not None:
+        raise DomainError(f"platform {idle!r} has no weight on any present feature")
+    return dict(zip(platforms, map(math.fsum, zip(*terms))))
 
 
-def _product_scores(matrix, present, shared) -> dict[str, float]:
+def _product_scores(platforms, columns, idle) -> dict[str, float]:
     """Multiply each platform's value ** (signed weight) in column order from
-    1.0. A complete matrix of positive values raises its columns in one
-    pass each; on any other input, or an overflow, the row loop scores and
-    names the first bad cell in row-major order."""
-    if _complete(shared) and min(map(min, matrix.values)) > 0:
-        factors = [
-            map(pow, column, repeat(signed))
-            for signed, column in zip(shared[0], zip(*matrix.values))
-        ]
+    1. An absent cell is the factor x ** 0.0, which is exactly 1.0. On a
+    value <= 0 or an overflow, the row loop names the first bad cell in
+    row-major order."""
+    if idle is None and all(bounds[0] > 0 for _, _, _, bounds, _, _ in columns):
+        factors = [map(pow, filled, weights_j) for _, _, _, _, filled, weights_j in columns]
         try:
             # math.prod starts from the int 1, and 1 * x is x exactly
-            return dict(zip(matrix.platforms, map(math.prod, zip(*factors))))
+            return dict(zip(platforms, map(math.prod, zip(*factors))))
         except OverflowError:
             pass
-    scores: dict[str, float] = {}
-    rows = _weight_rows(matrix.platforms, shared)
-    for platform, signed, values, row in zip(matrix.platforms, rows, matrix.values, present):
-        score = 1.0
-        for spec, exponent, value, ok in zip(matrix.features, signed, values, row):
-            if not ok:
-                continue
-            if value <= 0:
+    for i, platform in enumerate(platforms):
+        if platform == idle:
+            raise DomainError(f"platform {platform!r} has no weight on any present feature")
+        for spec, mask, _, _, filled, weights_j in columns:
+            value, where = filled[i], f"({platform!r}, {spec.name!r})"
+            if mask[i] and value <= 0:
                 raise ProductDomainError(
-                    f"weighted product needs positive values; "
-                    f"got {value!r} at ({platform!r}, {spec.name!r})"
+                    f"weighted product needs positive values; got {value!r} at {where}"
                 )
-            try:
-                score *= value ** exponent
+            try:  # an absent cell's power is value ** 0.0, which is 1.0
+                value ** weights_j[i]
             except OverflowError:
                 raise ProductDomainError(
-                    f"weighted product overflows at ({platform!r}, {spec.name!r}): {value!r}"
+                    f"weighted product overflows at {where}: {value!r}"
                 ) from None
-        scores[platform] = score
-    return scores
 
 
 def weighted_sum(
@@ -232,8 +229,7 @@ def weighted_sum(
     then contributes sign * weight * normalized value to the platform
     score, where the sign is -1 for less-is-better features.
     """
-    present = _checked_mask(matrix, weights, present)
-    return _sum_scores(matrix, method, present, _shared(matrix, weights, present), sample_std)
+    return _sum_scores(matrix.platforms, *_columns(matrix, weights, present), method, sample_std)
 
 
 def weighted_product(
@@ -246,8 +242,7 @@ def weighted_product(
     Values must be strictly positive; less-is-better features get negative
     exponents, so larger raw values shrink the score.
     """
-    present = _checked_mask(matrix, weights, present)
-    return _product_scores(matrix, present, _shared(matrix, weights, present))
+    return _product_scores(matrix.platforms, *_columns(matrix, weights, present))
 
 
 def score_table(
@@ -262,15 +257,14 @@ def score_table(
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         raise DimensionError(f"unknown combination methods: {unknown}")
-    matrix = resolved.matrix
-    present = _checked_mask(matrix, weights, resolved.present)
-    shared = _shared(matrix, weights, present)
-    columns: dict[str, dict[str, float]] = {}
-    for method in methods:
-        if method == "product":
-            columns[method] = _product_scores(matrix, present, shared)
-        else:
-            columns[method] = _sum_scores(
-                matrix, NormalizationMethod(method), present, shared, sample_std
-            )
-    return ScoreTable(platforms=matrix.platforms, columns=columns)
+    platforms = resolved.matrix.platforms
+    columns, idle = _columns(resolved.matrix, weights, resolved.present)
+    return ScoreTable(
+        platforms=platforms,
+        columns={
+            method: _product_scores(platforms, columns, idle)
+            if method == "product"
+            else _sum_scores(platforms, columns, idle, NormalizationMethod(method), sample_std)
+            for method in methods
+        },
+    )

@@ -18,8 +18,9 @@ import functools
 import json
 import math
 import sys
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .aggregate import METHODS, ScoreTable, WeightVector, score_table
 from .errors import ConfigError, FormatError, NcapError
@@ -42,7 +43,7 @@ class Output(NamedTuple):
     """One command's results, ready for any output format."""
 
     header: list[str]
-    rows: list[list]  # str, int, float or bool cells, one per header column
+    rows: list[list]  # a cell per header column; a column is all str, int, float or bool
     table: Callable[[], str] | None = None  # None: the command has no table format
     jsonl: Callable[[], list[dict]] | None = None  # None: one object per row
 
@@ -265,7 +266,7 @@ def render(fmt: str, output: Output) -> str:
     if fmt == "table":
         return output.table()
     if fmt == "csv":
-        return csv_text(output.header, ([_csv_cell(c) for c in row] for row in output.rows))
+        return csv_text(output.header, zip(*map(_csv_column, zip(*output.rows))))
     rows = (dict(zip(output.header, row)) for row in output.rows)
     objects = output.jsonl() if output.jsonl else rows
     return "".join(
@@ -274,12 +275,12 @@ def render(fmt: str, output: Output) -> str:
     )
 
 
-def _csv_cell(cell) -> str:
-    if isinstance(cell, bool):
-        return str(int(cell))
-    if isinstance(cell, float):
-        return decimals(cell, 6)
-    return str(cell)
+def _csv_column(column: tuple) -> Iterable:
+    """One output column as csv cells: floats to 6 decimals, booleans as 1 or 0."""
+    kind = type(column[0])
+    if kind is float:
+        return map(decimals, column, repeat(6))
+    return map(int, column) if kind is bool else column
 
 
 def _json_value(value):

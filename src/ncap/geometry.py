@@ -14,7 +14,7 @@ import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, EmptyInputError, MethodMismatchError
-from .ingest import checked_make, csv_text
+from .ingest import _first_repeat, checked_make, csv_text
 
 _VALID_LEVELS = (0.0, 1.0, 2.0, 3.0)
 
@@ -72,11 +72,9 @@ def select_reference(coords: Sequence[NcapCoordinate]) -> str:
     if not coords:
         raise EmptyInputError("select_reference: no coordinates given")
     _check_single_method(coords)
-    seen = set()
-    for c in coords:
-        if c.platform in seen:
-            raise DimensionError(f"duplicate coordinate for platform {c.platform!r}")
-        seen.add(c.platform)
+    repeated = _first_repeat(c.platform for c in coords)
+    if repeated is not None:
+        raise DimensionError(f"duplicate coordinate for platform {repeated!r}")
     best = min(coords, key=lambda c: (-_reference_score(c), c.platform))
     return best.platform
 
@@ -106,9 +104,10 @@ PLOT_HEADER = "platform,method,n_al,n_cp"
 
 
 def decimals(x: float, places: int) -> str:
-    """``x`` rounded to ``places`` decimals, as fixed-point text without "-0"."""
-    v = round(x, places)
-    return f"{0.0 if v == 0 else v:.{places}f}"
+    """``x`` rounded to ``places`` decimals, as fixed-point text without "-0";
+    "%f" rounds the exact binary value half to even, as round() does."""
+    text = "%.*f" % (places, x)
+    return text[1:] if text[0] == "-" and not text.strip("-0.") else text
 
 
 def coordinate_plot_data(coords: Iterable[NcapCoordinate]) -> str:

@@ -18,6 +18,8 @@ import csv
 import io
 import math
 from enum import Enum
+from itertools import compress, repeat
+from operator import is_not
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -204,20 +206,18 @@ class FeatureMatrix(_FeatureMatrix):
         if len(set(names)) != len(names):
             raise FormatError(f"duplicate feature name {_first_repeat(names)!r}")
         if len(values) != len(platforms):
-            raise FormatError(
-                f"value grid has {len(values)} rows for {len(platforms)} platforms"
-            )
+            raise FormatError(f"value grid has {len(values)} rows for {len(platforms)} platforms")
         for platform, row in zip(platforms, values):
             if len(row) != len(features):
                 raise FormatError(
                     f"row for {platform!r} has {len(row)} cells, "
                     f"expected {len(features)}"
                 )
-            for spec, cell in zip(features, row):
-                if cell is not None and not math.isfinite(cell):
-                    raise FormatError(
-                        f"non-finite value {cell!r} at ({platform!r}, {spec.name!r})"
-                    )
+            if not all(map(math.isfinite, compress(row, map(is_not, row, repeat(None))))):
+                spec, cell = next(
+                    (s, c) for s, c in zip(features, row) if c is not None and not math.isfinite(c)
+                )
+                raise FormatError(f"non-finite value {cell!r} at ({platform!r}, {spec.name!r})")
         return super().__new__(cls, platforms, features, values)
 
     @property
@@ -511,10 +511,7 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
     """
     if not isinstance(policy, MissingValuePolicy):
         raise ConfigError(f"not a missing-value policy: {policy!r}")
-    n_features = len(matrix.features)
-    present = tuple(
-        tuple(cell is not None for cell in row) for row in matrix.values
-    )
+    present = tuple(tuple(map(is_not, row, repeat(None))) for row in matrix.values)
 
     if policy is MissingValuePolicy.ERROR:
         missing = matrix.missing_cells()
@@ -525,28 +522,22 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
             )
         return ResolvedMatrix(matrix=matrix, present=present)
 
-    for j in range(n_features):
+    for j, spec in enumerate(matrix.features):
         if not any(row[j] for row in present):
-            raise DegenerateColumnError(
-                f"feature {matrix.features[j].name!r} has no present values"
-            )
+            raise DegenerateColumnError(f"feature {spec.name!r} has no present values")
 
     if policy is MissingValuePolicy.EXCLUDE:
         return ResolvedMatrix(matrix=matrix, present=present)
 
-    means = []
-    for j in range(n_features):
-        found = [cell for cell in matrix.column(j) if cell is not None]
+    columns = []
+    for spec, column, mask in zip(matrix.features, zip(*matrix.values), zip(*present)):
+        found = list(compress(column, mask))
         try:
-            means.append(math.fsum(found) / len(found))
+            mean = math.fsum(found) / len(found)
         except OverflowError:
-            raise DomainError(
-                f"feature {matrix.features[j].name!r}: column mean overflows a float"
-            ) from None
-    filled = tuple(
-        tuple(means[j] if cell is None else cell for j, cell in enumerate(row))
-        for row in matrix.values
-    )
-    full = FeatureMatrix(platforms=matrix.platforms, features=matrix.features, values=filled)
-    all_present = tuple((True,) * n_features for _ in matrix.platforms)
-    return ResolvedMatrix(matrix=full, present=all_present)
+            raise DomainError(f"feature {spec.name!r}: column mean overflows a float") from None
+        if len(found) < len(column):
+            column = [mean if cell is None else cell for cell in column]
+        columns.append(column)
+    full = FeatureMatrix(matrix.platforms, matrix.features, tuple(zip(*columns)))
+    return ResolvedMatrix(matrix=full, present=((True,) * len(columns),) * len(matrix.platforms))

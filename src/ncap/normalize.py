@@ -4,13 +4,19 @@ Four techniques are provided, all operating on one feature column at a time:
 divide-by-maximum, divide-by-sum, range mapping to [0, 1], and the z-score
 (standard score). Direction handling (more-is-better vs less-is-better) is
 deliberately not done here; the aggregation layer applies signs.
+
+Each technique is a plan per column, v -> (v - shift) / scale or a constant,
+applied by C-level ``map``. Aggregation plans a column from its present
+values and applies the plan to the whole column, absent cells filled.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import NamedTuple, Sequence
+from itertools import repeat
+from operator import le, sub, truediv
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, EmptyColumnError
 
@@ -29,13 +35,63 @@ class NormalizedColumn(NamedTuple):
     method: NormalizationMethod
 
 
-def _require_positive(column: Sequence[float], method: NormalizationMethod) -> None:
-    for i, v in enumerate(column):
-        if v <= 0:
+def _plan(column: Sequence[float], method: NormalizationMethod, sample_std=False, bounds=None):
+    """How ``method`` maps ``column``: (shift, scale) for v -> (v - shift) / scale,
+    with shift None for v -> v / scale, or the float every value maps to.
+    ``bounds``, the (min, max) of a finite column that max and sum may take,
+    skips their positivity check, which otherwise names the first v <= 0."""
+    zsc = method is NormalizationMethod.ZSC
+    if len(column) < 1 + zsc:
+        raise EmptyColumnError(
+            "eta_zsc: need at least 2 values" if zsc else f"eta_{method.value}: empty column"
+        )
+    if bounds is None:
+        if method.value in ("max", "sum") and any(map(le, column, repeat(0))):
+            i, v = next((i, v) for i, v in enumerate(column) if v <= 0)
             raise DomainError(
-                f"eta_{method.value} requires strictly positive values; "
-                f"got {v!r} at index {i}"
+                f"eta_{method.value} requires strictly positive values; got {v!r} at index {i}"
             )
+        bounds = min(column), max(column)
+    lo, hi = bounds
+    if method is NormalizationMethod.MAX:
+        return None, hi
+    if method is NormalizationMethod.SUM:
+        return None, math.fsum(column)
+    if method is NormalizationMethod.MAP:
+        if lo == hi:
+            return 0.5
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError(f"eta_map: range {lo!r} to {hi!r} overflows")
+        return lo, span
+    # Exact all-equal check: a float std test would misfire when the mean
+    # is not representable and deviations collapse to one tiny residual.
+    if lo == hi:
+        return 0.0
+    n = len(column)
+    mean = math.fsum(column) / n
+    var = math.fsum(map(pow, map(sub, column, repeat(mean)), repeat(2)))
+    std = math.sqrt(var / (n - 1 if sample_std else n))
+    # squared deviations can underflow for subnormal spreads
+    return 0.0 if std == 0.0 else (mean, std)
+
+
+def _apply(plan, column: Sequence[float]) -> Iterator[float]:
+    """The plan's values for ``column``, lazily, in column order."""
+    if isinstance(plan, float):
+        return repeat(plan, len(column))
+    shift, scale = plan
+    if shift is not None:
+        column = map(sub, column, repeat(shift))
+    return map(truediv, column, repeat(scale))
+
+
+def normalize(
+    column: Sequence[float], method: NormalizationMethod, sample_std: bool = False
+) -> NormalizedColumn:
+    """Apply the named normalization technique to one column."""
+    plan = _plan(column, method, sample_std)
+    return NormalizedColumn(tuple(_apply(plan, column)), method)
 
 
 def eta_max(column: Sequence[float]) -> NormalizedColumn:
@@ -43,20 +99,12 @@ def eta_max(column: Sequence[float]) -> NormalizedColumn:
 
     The maximum maps to exactly 1.0; every output lies in (0, 1].
     """
-    if not column:
-        raise EmptyColumnError("eta_max: empty column")
-    _require_positive(column, NormalizationMethod.MAX)
-    top = max(column)
-    return NormalizedColumn(tuple(v / top for v in column), NormalizationMethod.MAX)
+    return normalize(column, NormalizationMethod.MAX)
 
 
 def eta_sum(column: Sequence[float]) -> NormalizedColumn:
     """Divide each value by the column sum, yielding proportional shares."""
-    if not column:
-        raise EmptyColumnError("eta_sum: empty column")
-    _require_positive(column, NormalizationMethod.SUM)
-    total = math.fsum(column)
-    return NormalizedColumn(tuple(v / total for v in column), NormalizationMethod.SUM)
+    return normalize(column, NormalizationMethod.SUM)
 
 
 def eta_map(column: Sequence[float]) -> NormalizedColumn:
@@ -66,15 +114,7 @@ def eta_map(column: Sequence[float]) -> NormalizedColumn:
     neutral midpoint 0.5 everywhere. A range wider than the largest float
     raises OverflowError.
     """
-    if not column:
-        raise EmptyColumnError("eta_map: empty column")
-    lo, hi = min(column), max(column)
-    if lo == hi:
-        return NormalizedColumn((0.5,) * len(column), NormalizationMethod.MAP)
-    span = hi - lo
-    if not math.isfinite(span):
-        raise OverflowError(f"eta_map: range {lo!r} to {hi!r} overflows")
-    return NormalizedColumn(tuple((v - lo) / span for v in column), NormalizationMethod.MAP)
+    return normalize(column, NormalizationMethod.MAP)
 
 
 def eta_zsc(column: Sequence[float], sample: bool = False) -> NormalizedColumn:
@@ -85,29 +125,4 @@ def eta_zsc(column: Sequence[float], sample: bool = False) -> NormalizedColumn:
     pass sample=True for the n-1 convention. A zero-spread column maps
     to 0 everywhere (every value *is* the mean).
     """
-    n = len(column)
-    if n < 2:
-        raise EmptyColumnError("eta_zsc: need at least 2 values")
-    # Exact all-equal check: a float std test would misfire when the mean
-    # is not representable and deviations collapse to one tiny residual.
-    if min(column) == max(column):
-        return NormalizedColumn((0.0,) * n, NormalizationMethod.ZSC)
-    mean = math.fsum(column) / n
-    var = math.fsum((v - mean) ** 2 for v in column) / (n - 1 if sample else n)
-    std = math.sqrt(var)
-    if std == 0.0:  # squared deviations can underflow for subnormal spreads
-        return NormalizedColumn((0.0,) * n, NormalizationMethod.ZSC)
-    return NormalizedColumn(tuple((v - mean) / std for v in column), NormalizationMethod.ZSC)
-
-
-def normalize(
-    column: Sequence[float], method: NormalizationMethod, sample_std: bool = False
-) -> NormalizedColumn:
-    """Apply the named normalization technique to one column."""
-    if method is NormalizationMethod.MAX:
-        return eta_max(column)
-    if method is NormalizationMethod.SUM:
-        return eta_sum(column)
-    if method is NormalizationMethod.MAP:
-        return eta_map(column)
-    return eta_zsc(column, sample=sample_std)
+    return normalize(column, NormalizationMethod.ZSC, sample_std=sample)

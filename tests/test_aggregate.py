@@ -1,12 +1,15 @@
+import itertools
 import math
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncap import (
+    METHODS,
     DimensionError,
     Direction,
     DomainError,
+    EmptyColumnError,
     FeatureMatrix,
     FeatureSpec,
     MissingValueError,
@@ -17,7 +20,9 @@ from ncap import (
     ScoreTable,
     WeightScheme,
     WeightVector,
+    consensus_report,
     rank_scores,
+    rank_table,
     resolve_missing,
     score_table,
     weighted_product,
@@ -344,6 +349,11 @@ def weighted_sum_oracle(matrix, weights, method, present=None, sample_std=False)
             raise DomainError(
                 f"feature {spec.name!r}: values too large for eta_{method.value}"
             ) from None
+        except EmptyColumnError:
+            need = "at least 2 present values" if method.value == "zsc" else "a present value"
+            raise EmptyColumnError(
+                f"feature {spec.name!r}: eta_{method.value} needs {need}"
+            ) from None
         except DomainError:
             i = next(i for i in holders if matrix.values[i][j] <= 0)
             raise DomainError(
@@ -419,16 +429,21 @@ FULL = POSITIVE + [0.0, -0.0, -1.0, -2.5, 1.5e308]
 
 
 @st.composite
-def masked_inputs(draw, complete=False):
+def masked_inputs(draw, complete=False, max_n=6, max_m=5):
     """A matrix, weights and its presence mask; a complete one has no
-    absent cell, so it is scored a column at a time."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    m = draw(st.integers(min_value=1, max_value=5))
+    absent cell. One in ten of the others has a column with no present
+    cell, which only the product can score."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    m = draw(st.integers(min_value=1, max_value=max_m))
     pool = draw(st.sampled_from([PLAIN, POSITIVE, FULL]))
     cells = st.sampled_from([c for c in pool if c is not None] if complete else pool)
     rows = draw(
         st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n)
     )
+    if not complete and draw(st.integers(min_value=0, max_value=9)) == 0:
+        blank = draw(st.integers(min_value=0, max_value=m - 1))
+        for row in rows:
+            row[blank] = None
     directions = draw(st.lists(st.sampled_from([MIB, LIB]), min_size=m, max_size=m))
     raw = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=m, max_size=m))
     assume(any(raw))  # zero weights allowed, but not all of them
@@ -455,6 +470,53 @@ def test_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
 @settings(max_examples=300, deadline=None)
 def test_complete_matrix_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
     assert_scores_equal_oracle(inputs, sample_std, methods)
+
+
+@given(
+    masked_inputs(max_n=40, max_m=30),
+    st.booleans(),
+    st.permutations(["max", "sum", "map", "zsc", "product"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_large_matrix_scores_equal_oracle_bit_for_bit(inputs, sample_std, methods):
+    assert_scores_equal_oracle(inputs, sample_std, methods)
+
+
+EDGE_MATRICES = {
+    # p0's present terms cancel to exactly 0 under every sum method, and
+    # its absent cell adds a term of weight 0.0
+    "cancel_next_to_absent": (
+        [[2.0, 2.0, None], [1.0, 1.0, 3.0], [1.0, 1.0, 4.0]], [MIB, LIB, MIB], [0.25, 0.25, 0.5]
+    ),
+    # f1 has no present cell: the product scores f0 alone, a sum cannot normalize f1
+    "all_absent_column": ([[2.0, None], [3.0, None]], [MIB, LIB], [0.5, 0.5]),
+    # p1's only weight sits on f0, which it lacks
+    "weight_only_on_absent": ([[2.0, 1.0], [None, 3.0], [4.0, 2.0]], [MIB, MIB], [1.0, 0.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(EDGE_MATRICES))
+def test_edge_matrices_score_as_oracle(name):
+    rows, directions, weights = EDGE_MATRICES[name]
+    matrix = make_matrix(rows, directions=directions)
+    present = tuple(tuple(cell is not None for cell in row) for row in matrix.values)
+    inputs = matrix, WeightVector.user_defined(weights), present
+    for sample_std in (False, True):
+        for methods in (METHODS, ["max"], ["zsc"], ["product"]):
+            assert_scores_equal_oracle(inputs, sample_std, methods)
+    resolved = ResolvedMatrix(matrix, present)
+    if name == "cancel_next_to_absent":
+        table = score_table(resolved, inputs[1], ["max", "sum", "map", "zsc"])
+        assert {repr(column["p0"]) for column in table.columns.values()} == {"0.0"}
+    elif name == "all_absent_column":
+        assert score_table(resolved, inputs[1], ["product"]).columns["product"] == {
+            "p0": 2.0, "p1": 3.0
+        }
+        with pytest.raises(EmptyColumnError, match="feature 'f1': eta_zsc needs at least 2"):
+            score_table(resolved, inputs[1], ["zsc"])
+    else:
+        with pytest.raises(DomainError, match="'p1' has no weight on any present feature"):
+            score_table(resolved, inputs[1], ["product"])
 
 
 def assert_scores_equal_oracle(inputs, sample_std, methods):
@@ -515,3 +577,112 @@ def test_product_names_first_bad_cell_in_row_major_order(rows, directions, weigh
         with pytest.raises(ProductDomainError) as raised:
             call()
         assert str(raised.value).endswith(detail)
+
+
+# ------------------------------------------------- metamorphic relations
+#
+# Relations every score keeps exactly: column reductions (fsum, min, max)
+# do not depend on platform order, fsum is correctly rounded, and scaling
+# by a power of two is exact while nothing overflows or goes subnormal.
+# The product multiplies in column order, so only its ranks are kept
+# there, apart from near-ties. Its invariance to rescaling a column under
+# exclude is not asserted: a platform that lacks the column gets no factor
+# from it, so the rescaling moves only the others. The z-score squares its
+# deviations with ``** 2``, which is the C library's pow and not always
+# correctly rounded, so under scaling its scores are held to 1e-12, not to
+# their bits: [1, 2, 0.1] and [4, 8, 0.4] give z-scores a bit apart.
+
+SUMS = ("max", "sum", "map", "zsc")
+
+
+@st.composite
+def scorable_inputs(draw):
+    """Rows with ties and absent cells that every method scores under both
+    the mean and the exclude policy, directions and positive weights."""
+    n = draw(st.integers(min_value=2, max_value=10))
+    m = draw(st.integers(min_value=1, max_value=6))
+    cells = st.sampled_from([0.75, 1.0, 2.0, 2.0, 3.0, 0.1, 10.0, 1e3, None])
+    rows = draw(st.lists(st.lists(cells, min_size=m, max_size=m), min_size=n, max_size=n))
+    assume(all(any(cell is not None for cell in row) for row in rows))
+    assume(all(sum(row[j] is not None for row in rows) >= 2 for j in range(m)))
+    directions = draw(st.lists(st.sampled_from([MIB, LIB]), min_size=m, max_size=m))
+    raw = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=m, max_size=m))
+    return rows, directions, [w / sum(raw) for w in raw]
+
+
+def scores_under(policy, rows, directions, weights, platforms=None):
+    matrix = make_matrix(rows, directions=directions, platforms=platforms)
+    resolved = resolve_missing(matrix, MissingValuePolicy(policy))
+    table = score_table(resolved, WeightVector.user_defined(weights), METHODS)
+    return table.columns
+
+
+def bits(columns, methods):
+    return {m: {p: repr(s) for p, s in columns[m].items()} for m in methods}
+
+
+def assert_order_kept(base, moved, rel=1e-9):
+    """Each pair of platforms whose scores differ by more than ``rel``
+    (relative) is in the same order in ``moved``."""
+    for p, q in itertools.permutations(base, 2):
+        if base[p] - base[q] > rel * max(abs(base[p]), abs(base[q])):
+            assert moved[p] > moved[q], (p, q)
+
+
+POLICIES = st.sampled_from(["mean", "exclude"])
+
+
+@given(scorable_inputs(), POLICIES, st.data())
+@settings(deadline=None)
+def test_permuting_rows_permutes_every_score_bit_for_bit(inputs, policy, data):
+    rows, directions, weights = inputs
+    order = data.draw(st.permutations(range(len(rows))))
+    base = scores_under(policy, rows, directions, weights)
+    moved = scores_under(
+        policy, [rows[i] for i in order], directions, weights, [f"p{i}" for i in order]
+    )
+    assert bits(moved, METHODS) == bits(base, METHODS)
+
+
+@given(scorable_inputs(), POLICIES, st.data())
+@settings(deadline=None)
+def test_permuting_columns_with_weights_keeps_sum_bits(inputs, policy, data):
+    rows, directions, weights = inputs
+    order = data.draw(st.permutations(range(len(directions))))
+    base = scores_under(policy, rows, directions, weights)
+    moved = scores_under(
+        policy,
+        [[row[j] for j in order] for row in rows],
+        [directions[j] for j in order],
+        [weights[j] for j in order],
+    )
+    assert bits(moved, SUMS) == bits(base, SUMS)
+    assert_order_kept(base["product"], moved["product"])
+
+
+@given(scorable_inputs(), POLICIES, st.data())
+@settings(deadline=None)
+def test_power_of_two_scaling_keeps_max_sum_map_bits(inputs, policy, data):
+    rows, directions, weights = inputs
+    j = data.draw(st.integers(min_value=0, max_value=len(directions) - 1))
+    factor = 2.0 ** data.draw(st.integers(min_value=-40, max_value=40))
+    scaled = [
+        [cell * factor if k == j and cell is not None else cell for k, cell in enumerate(row)]
+        for row in rows
+    ]
+    base = scores_under(policy, rows, directions, weights)
+    moved = scores_under(policy, scaled, directions, weights)
+    assert bits(moved, ("max", "sum", "map")) == bits(base, ("max", "sum", "map"))
+    for p, z in base["zsc"].items():
+        assert math.isclose(moved["zsc"][p], z, rel_tol=1e-12, abs_tol=1e-12), p
+    if policy == "mean":
+        assert_order_kept(base["product"], moved["product"])
+
+
+@given(scorable_inputs(), POLICIES)
+@settings(deadline=None)
+def test_tau_b_is_symmetric(inputs, policy):
+    stats = consensus_report(rank_table(scores_under(policy, *inputs)))
+    assert {pair: repr(tau) for pair, tau in stats.tau.items()} == {
+        (a, b): repr(tau) for (b, a), tau in stats.tau.items()
+    }

@@ -551,6 +551,16 @@ def _product_subnormal(tmp_path, matrix, config):
     return _one_feature(tmp_path, ["5e-324", "1"], feature) + ["--methods", "product"]
 
 
+def _single_present_value(tmp_path, matrix, config):
+    """score under exclude over a matrix whose column a holds one value."""
+    argv = _score_files(
+        tmp_path,
+        "}\n  - {name: b, direction: more_is_better}\n",
+        matrix="platform,a,b\np0,1,2\np1,-,3\np2,-,4\n",
+    )
+    return argv + ["--missing", "exclude"]
+
+
 def _score_files(tmp_path, config_end="}\n", matrix="platform,a\np0,1\np1,2\n"):
     """score over a matrix and a one-feature config; config_end closes the
     feature's flow mapping and may add keys."""
@@ -785,12 +795,17 @@ def test_failure_is_one_error_line(
             "feature 'a': eta_sum requires strictly positive values; got -3.0 for platform 'p2'",
         ),
         (_map_range_overflow, "feature 'a': values too large for eta_map"),
+        (
+            _single_present_value,
+            "feature 'a': eta_zsc needs at least 2 present values",
+        ),
     ],
-    ids=["max", "sum", "map_overflow"],
+    ids=["max", "sum", "map_overflow", "zsc_single_value"],
 )
 def test_normalization_error_names_feature_and_platform(tmp_path, capsys, make_argv, detail):
     code, out, err = run(capsys, *make_argv(tmp_path, None, None))
-    assert (code, out, err) == (1, "", f"error: DomainError: {detail}\n")
+    error = "EmptyColumnError" if "eta_zsc" in detail else "DomainError"
+    assert (code, out, err) == (1, "", f"error: {error}: {detail}\n")
 
 
 @pytest.mark.parametrize(

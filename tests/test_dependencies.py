@@ -36,3 +36,33 @@ def test_import_ncap_cli_loads_neither_dataclasses_nor_inspect():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# what a fresh `import ncap.cli` adds to sys.modules, by top-level name, apart
+# from the runtime modules of PyYAML's Cython-built libyaml binding
+CLI_IMPORTS = {
+    "__future__", "_csv", "_datetime", "_json", "argparse", "base64", "csv",
+    "datetime", "gettext", "json", "ncap", "yaml",
+}
+
+
+def test_import_ncap_cli_adds_no_top_level_module():
+    """Every cold command pays for what `import ncap.cli` loads; a new
+    top-level module there must be a deliberate change to this set."""
+    probe = (
+        "import sys; before = set(sys.modules); import ncap.cli; "
+        "print(' '.join(sorted({m.split('.')[0] for m in set(sys.modules) - before})))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    added = {
+        name
+        for name in done.stdout.split()
+        if not (name.startswith("_cython_") or name == "cython_runtime")
+    }
+    assert added <= CLI_IMPORTS, sorted(added - CLI_IMPORTS)

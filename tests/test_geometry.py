@@ -1,8 +1,10 @@
 import csv
 import io
+import math
+import struct
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ncap import (
     METHODS,
@@ -23,6 +25,7 @@ from ncap import (
     select_reference,
 )
 from ncap.cli import main
+from ncap.geometry import decimals
 
 from golden import LEVELS, UNIFORM_SCORES
 
@@ -192,3 +195,42 @@ def test_identity_of_indiscernibles(a):
     assert relative_distance(a, a) == 0.0
     away = coord(a.platform, a.x, a.y + 1.0, a.method)
     assert relative_distance(a, away) > 0
+
+
+# ------------------------------------------------- the number formatter
+
+
+def decimals_oracle(x, places):
+    """decimals as it was before it formatted without rounding first."""
+    v = round(x, places)
+    return f"{0.0 if v == 0 else v:.{places}f}"
+
+
+def _double(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+FORMATTED = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1).map(_double),  # every bit pattern
+    st.integers(min_value=-10**9, max_value=10**9).map(lambda k: (k + 0.5) / 10**6),
+    st.integers(min_value=-10**9, max_value=10**9).map(lambda k: (k + 0.5) / 100),
+    st.integers(min_value=-10**6, max_value=10**6).map(lambda k: k / 128),
+    st.floats(min_value=-1e-6, max_value=1e-6),  # round to -0 and +0
+    st.sampled_from([5e-324, -5e-324, -0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]),
+)
+
+
+@given(FORMATTED, st.sampled_from([2, 6]))
+@settings(max_examples=2000)
+def test_decimals_equals_round_then_format(x, places):
+    assert decimals(x, places) == decimals_oracle(x, places)
+
+
+@pytest.mark.parametrize("places", [2, 6])
+def test_decimals_at_half_way_and_binary_fractions(places):
+    # every (k + 1/2) / 10**places near zero, where the tie rule decides,
+    # and every k / 128 below 100, which has an exact short binary form
+    for k in range(-20_000, 20_000):
+        for x in ((k + 0.5) / 10**places, k / 128):
+            assert decimals(x, places) == decimals_oracle(x, places), x
+    assert (decimals(-0.0000004, 6), decimals(-0.004, 2)) == ("0.000000", "0.00")

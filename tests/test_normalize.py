@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ncap import (
     DomainError,
     EmptyColumnError,
+    NcapError,
     NormalizationMethod,
     eta_map,
     eta_max,
@@ -205,3 +206,79 @@ def _assert_monotone(column, out):
         for j in range(len(column)):
             if column[i] <= column[j]:
                 assert out[i] <= out[j]
+
+
+# ------------------------------------------------- differential oracle
+#
+# The four techniques as they were before they shared one plan applied by
+# C-level map: a Python loop for positivity, then a generator per value.
+# Every output keeps its bits, and every input that fails fails with the
+# same exception and message.
+
+
+def _require_positive_oracle(column, name):
+    for i, v in enumerate(column):
+        if v <= 0:
+            raise DomainError(
+                f"eta_{name} requires strictly positive values; got {v!r} at index {i}"
+            )
+
+
+def eta_oracle(column, method, sample=False):
+    if method is NormalizationMethod.ZSC:
+        n = len(column)
+        if n < 2:
+            raise EmptyColumnError("eta_zsc: need at least 2 values")
+        if min(column) == max(column):
+            return (0.0,) * n
+        mean = math.fsum(column) / n
+        var = math.fsum((v - mean) ** 2 for v in column) / (n - 1 if sample else n)
+        std = math.sqrt(var)
+        if std == 0.0:
+            return (0.0,) * n
+        return tuple((v - mean) / std for v in column)
+    if not column:
+        raise EmptyColumnError(f"eta_{method.value}: empty column")
+    if method is NormalizationMethod.MAP:
+        lo, hi = min(column), max(column)
+        if lo == hi:
+            return (0.5,) * len(column)
+        span = hi - lo
+        if not math.isfinite(span):
+            raise OverflowError(f"eta_map: range {lo!r} to {hi!r} overflows")
+        return tuple((v - lo) / span for v in column)
+    _require_positive_oracle(column, method.value)
+    top = max(column) if method is NormalizationMethod.MAX else math.fsum(column)
+    return tuple(v / top for v in column)
+
+
+def _outcome(call):
+    try:
+        return [repr(v) for v in call()]
+    except (NcapError, ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# ties, both zeros, the smallest subnormal, huge values, NaN and infinities
+ODD_VALUES = [1.0, 2.0, 2.0, 0.1, 3, -1.0, 0.0, -0.0, 5e-324, 1e308, -1e308, 1.5e308,
+              math.nan, math.inf, -math.inf]
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(ODD_VALUES), st.floats(allow_nan=True)), max_size=12
+    ),
+    st.sampled_from(list(NormalizationMethod)),
+    st.booleans(),
+)
+@settings(max_examples=500)
+def test_normalize_equals_oracle_bit_for_bit(column, method, sample):
+    got = _outcome(lambda: normalize(column, method, sample_std=sample).values)
+    assert got == _outcome(lambda: eta_oracle(column, method, sample))
+
+
+@pytest.mark.parametrize("eta", [eta_max, eta_sum], ids=["max", "sum"])
+def test_nonpositive_value_after_nan_is_rejected(eta):
+    # min([nan, -1.0]) is nan, so a check on the minimum would let -1.0 by
+    with pytest.raises(DomainError, match="got -1.0 at index 1"):
+        eta([math.nan, -1.0])
