@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .aggregate import METHODS, ScoreTable, WeightVector, score_table
 from .errors import ConfigError, FormatError, NcapError
-from .geometry import PLOT_HEADER, NcapCoordinate, decimals, distance_report
+from .geometry import PLOT_HEADER, decimals, distances
 from .ingest import (
     EvalConfig,
     MissingValuePolicy,
@@ -115,8 +115,11 @@ def cmd_level(args: argparse.Namespace) -> Output:
 
 def cmd_distance(args: argparse.Namespace) -> Output:
     """Absolute and reference-relative autonomy distances per method."""
-    scores, coords = _coordinates(args)
-    reports = {method: distance_report(points) for method, points in coords.items()}
+    scores, levels = _scores_and_levels(args)
+    reports = {
+        m: distances(m, scores.platforms, levels, column.values())
+        for m, column in scores.columns.items()
+    }
     return Output(
         header=["platform", "method", "absolute", "relative", "is_reference"],
         rows=[
@@ -137,10 +140,14 @@ def cmd_distance(args: argparse.Namespace) -> Output:
 
 def cmd_plotdata(args: argparse.Namespace) -> Output:
     """Export <level, performance> coordinates for external plotting."""
-    _, coords = _coordinates(args)
+    scores, levels = _scores_and_levels(args)
     return Output(
         header=PLOT_HEADER.split(","),
-        rows=[[c.platform, c.method, c.x, c.y] for points in coords.values() for c in points],
+        rows=[
+            [p, m, x, y]
+            for m, column in scores.columns.items()
+            for p, x, y in zip(scores.platforms, levels, column.values())
+        ],
     )
 
 
@@ -242,20 +249,12 @@ def _levels_for(platforms: list[str], config: EvalConfig) -> dict[str, AutonomyL
     return levels
 
 
-def _coordinates(
-    args: argparse.Namespace,
-) -> tuple[ScoreTable, dict[str, list[NcapCoordinate]]]:
-    """The input scores and, per method, each platform's <level, score> point."""
+def _scores_and_levels(args: argparse.Namespace) -> tuple[ScoreTable, list[float]]:
+    """The input scores and each platform's autonomy level, in platform order."""
     config = load_config(args.config)
     scores = _input_scores(args, config)
     levels = _levels_for(list(scores.platforms), config)
-    return scores, {
-        m: [
-            NcapCoordinate(p, float(levels[p].value), scores.columns[m][p], m)
-            for p in scores.platforms
-        ]
-        for m in scores.methods
-    }
+    return scores, [float(levels[p].value) for p in scores.platforms]
 
 
 # ---------------------------------------------------------------- rendering

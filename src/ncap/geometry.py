@@ -6,12 +6,17 @@ component-performance score for one combination method. The absolute
 autonomy distance is the Euclidean distance of that point from the
 origin; relative distance compares a platform against the strongest
 (reference) platform.
+
+``distances`` computes a method's report from its level and score columns;
+``distance_report`` checks a set of ``NcapCoordinate`` records and wraps it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import repeat
+from operator import neg, sub
+from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import DimensionError, DomainError, EmptyInputError, MethodMismatchError
 from .ingest import _first_repeat, checked_make, csv_text
@@ -54,29 +59,10 @@ def autonomy_distance(coord: NcapCoordinate) -> float:
     return math.hypot(coord.x, coord.y)
 
 
-def _reference_score(coord: NcapCoordinate) -> float:
-    # A negative performance score must not inflate a platform's claim to
-    # being the best system, so it contributes no distance when choosing
-    # the reference. Reported distances are untouched by this floor.
-    return math.hypot(coord.x, max(coord.y, 0.0))
-
-
 def select_reference(coords: Sequence[NcapCoordinate]) -> str:
-    """Pick the reference platform: the one farthest from the origin.
-
-    Ties break toward the lexicographically smallest platform id, and
-    negative performance scores are floored at zero for the comparison
-    (see _reference_score). Expects one coordinate per platform, all for
-    the same combination method.
-    """
-    if not coords:
-        raise EmptyInputError("select_reference: no coordinates given")
-    _check_single_method(coords)
-    repeated = _first_repeat(c.platform for c in coords)
-    if repeated is not None:
-        raise DimensionError(f"duplicate coordinate for platform {repeated!r}")
-    best = min(coords, key=lambda c: (-_reference_score(c), c.platform))
-    return best.platform
+    """The reference platform of ``distance_report(coords)``: the one farthest
+    from the origin, negative scores floored at zero, ties to the smallest id."""
+    return distance_report(coords).reference
 
 
 def relative_distance(coord: NcapCoordinate, ref: NcapCoordinate) -> float:
@@ -90,14 +76,29 @@ def relative_distance(coord: NcapCoordinate, ref: NcapCoordinate) -> float:
 
 def distance_report(coords: Sequence[NcapCoordinate]) -> DistanceReport:
     """Absolute distances, reference selection, and relative distances in one pass."""
-    reference = select_reference(coords)
-    by_platform = {c.platform: c for c in coords}
-    ref_coord = by_platform[reference]
-    absolute = {c.platform: autonomy_distance(c) for c in coords}
-    relative = {c.platform: relative_distance(c, ref_coord) for c in coords}
-    return DistanceReport(
-        method=coords[0].method, absolute=absolute, reference=reference, relative=relative
-    )
+    if not coords:
+        raise EmptyInputError("select_reference: no coordinates given")
+    platforms, levels, scores, methods = zip(*coords)
+    if len(set(methods)) > 1:
+        raise MethodMismatchError(f"mixed combination methods: {sorted(set(methods))}")
+    if len(set(platforms)) < len(platforms):
+        raise DimensionError(f"duplicate coordinate for platform {_first_repeat(platforms)!r}")
+    return distances(methods[0], platforms, levels, scores)
+
+
+def distances(
+    method: str, platforms: Sequence[str], levels: Collection[float], scores: Collection[float]
+) -> DistanceReport:
+    """One method's report from its columns in platform order: distinct ids,
+    levels in 0..3 and finite scores. The reference is the platform farthest
+    from the origin with negative scores floored at zero, so a deeply negative
+    score cannot pass for the best system; ties go to the smallest id."""
+    floored = map(math.hypot, levels, map(max, scores, repeat(0.0)))
+    # the ids are distinct, so the tuples never compare past the id
+    _, reference, ref_x, ref_y = min(zip(map(neg, floored), platforms, levels, scores))
+    absolute = dict(zip(platforms, map(math.hypot, levels, scores)))
+    relative = map(math.hypot, map(sub, levels, repeat(ref_x)), map(sub, scores, repeat(ref_y)))
+    return DistanceReport(method, absolute, reference, dict(zip(platforms, relative)))
 
 
 PLOT_HEADER = "platform,method,n_al,n_cp"
@@ -119,8 +120,3 @@ def coordinate_plot_data(coords: Iterable[NcapCoordinate]) -> str:
     rows = ([c.platform, c.method, decimals(c.x, 6), decimals(c.y, 6)] for c in coords)
     return csv_text(PLOT_HEADER.split(","), rows)
 
-
-def _check_single_method(coords: Sequence[NcapCoordinate]) -> None:
-    methods = {c.method for c in coords}
-    if len(methods) > 1:
-        raise MethodMismatchError(f"mixed combination methods: {sorted(methods)}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import repeat
-from operator import le, sub, truediv
+from operator import le, mul, sub, truediv
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import DomainError, EmptyColumnError
@@ -70,7 +70,11 @@ def _plan(column: Sequence[float], method: NormalizationMethod, sample_std=False
         return 0.0
     n = len(column)
     mean = math.fsum(column) / n
-    var = math.fsum(map(pow, map(sub, column, repeat(mean)), repeat(2)))
+    deviations = tuple(map(sub, column, repeat(mean)))
+    # d * d is correctly rounded, so scaling a column by 2**k scales var by 4**k
+    var = math.fsum(map(mul, deviations, deviations))
+    if var == math.inf:  # a finite deviation's square overflowed
+        raise OverflowError("eta_zsc: squared deviations overflow")
     std = math.sqrt(var / (n - 1 if sample_std else n))
     # squared deviations can underflow for subnormal spreads
     return 0.0 if std == 0.0 else (mean, std)

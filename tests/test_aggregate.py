@@ -672,9 +672,7 @@ def test_power_of_two_scaling_keeps_max_sum_map_bits(inputs, policy, data):
     ]
     base = scores_under(policy, rows, directions, weights)
     moved = scores_under(policy, scaled, directions, weights)
-    assert bits(moved, ("max", "sum", "map")) == bits(base, ("max", "sum", "map"))
-    for p, z in base["zsc"].items():
-        assert math.isclose(moved["zsc"][p], z, rel_tol=1e-12, abs_tol=1e-12), p
+    assert bits(moved, ("max", "sum", "map", "zsc")) == bits(base, ("max", "sum", "map", "zsc"))
     if policy == "mean":
         assert_order_kept(base["product"], moved["product"])
 

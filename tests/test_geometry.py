@@ -4,10 +4,12 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ncap import (
     METHODS,
+    DimensionError,
+    DistanceReport,
     DomainError,
     EmptyInputError,
     MethodMismatchError,
@@ -195,6 +197,119 @@ def test_identity_of_indiscernibles(a):
     assert relative_distance(a, a) == 0.0
     away = coord(a.platform, a.x, a.y + 1.0, a.method)
     assert relative_distance(a, away) > 0
+
+
+# ------------------------------------------------- the columnar report
+
+
+def select_reference_oracle(coords):
+    """select_reference as it was before distance_report read columns."""
+    if not coords:
+        raise EmptyInputError("select_reference: no coordinates given")
+    methods = {c.method for c in coords}
+    if len(methods) > 1:
+        raise MethodMismatchError(f"mixed combination methods: {sorted(methods)}")
+    seen = set()
+    for c in coords:
+        if c.platform in seen:
+            raise DimensionError(f"duplicate coordinate for platform {c.platform!r}")
+        seen.add(c.platform)
+    best = min(coords, key=lambda c: (-math.hypot(c.x, max(c.y, 0.0)), c.platform))
+    return best.platform
+
+
+def distance_report_oracle(coords):
+    """distance_report as it was before it read columns: a walk per field."""
+    reference = select_reference_oracle(coords)
+    ref = {c.platform: c for c in coords}[reference]
+    absolute = {c.platform: math.hypot(c.x, c.y) for c in coords}
+    relative = {c.platform: math.hypot(c.x - ref.x, c.y - ref.y) for c in coords}
+    return DistanceReport(coords[0].method, absolute, reference, relative)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DimensionError, EmptyInputError, MethodMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+def _bits(report):
+    """The report with every distance as float.hex, in key order."""
+    parts = (report.absolute, report.relative)
+    return report.method, report.reference, [[(p, d.hex()) for p, d in x.items()] for x in parts]
+
+
+# ties, both zeros, the smallest subnormal, huge values, negatives the floor decides on
+GEOMETRY_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, 0.5, -0.5, 1.0, -4.0]),
+    st.floats(min_value=-5, max_value=5),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+GEOMETRY_LEVELS = st.sampled_from([0.0, 1.0, 2.0, 3.0, 0, 3])
+IDS = st.sampled_from("ABCDEF")
+GEOMETRY_COORDS = st.one_of(
+    st.lists(
+        st.builds(coord, IDS, GEOMETRY_LEVELS, GEOMETRY_SCORES),
+        max_size=6,
+        unique_by=lambda c: c.platform,
+    ),
+    # repeated ids and mixed methods
+    st.lists(
+        st.builds(coord, IDS, GEOMETRY_LEVELS, GEOMETRY_SCORES, st.sampled_from(["sum", "max"])),
+        max_size=6,
+    ),
+)
+
+
+@given(GEOMETRY_COORDS)
+@example([coord("B", 3.0, -5.0), coord("C", 3.0, 1.0), coord("A", 2.0, -0.0)])  # floor picks C
+@example([coord("only", 0.0, -1e300)])
+@settings(max_examples=1000)
+def test_distance_report_equals_record_oracle(coords):
+    expected = _outcome(lambda: distance_report_oracle(coords))
+    got = _outcome(lambda: distance_report(coords))
+    assert _outcome(lambda: select_reference(coords)) == _outcome(
+        lambda: select_reference_oracle(coords)
+    )
+    if not isinstance(expected, DistanceReport):
+        assert got == expected
+        return
+    assert _bits(got) == _bits(expected)
+    ref = next(c for c in coords if c.platform == got.reference)
+    for c in coords:
+        assert got.absolute[c.platform].hex() == autonomy_distance(c).hex()
+        assert got.relative[c.platform].hex() == relative_distance(c, ref).hex()
+
+
+REJECTIONS = [
+    ([], EmptyInputError, "select_reference: no coordinates given"),
+    (
+        [coord("A", 1.0, 0.5, "sum"), coord("B", 1.0, 0.5, "max")],
+        MethodMismatchError,
+        "mixed combination methods: ['max', 'sum']",
+    ),
+    (
+        [coord("B", 1.0, 0.5), coord("A", 2.0, 0.5), coord("A", 2.0, 0.5), coord("B", 0.0, 1.0)],
+        DimensionError,
+        "duplicate coordinate for platform 'A'",
+    ),
+    (
+        [coord("A", 1.0, 0.5, "sum"), coord("A", 1.0, 0.5, "max")],
+        MethodMismatchError,
+        "mixed combination methods: ['max', 'sum']",
+    ),
+]
+
+
+@pytest.mark.parametrize("report_of", [distance_report, select_reference])
+@pytest.mark.parametrize(
+    "coords,error,message", REJECTIONS, ids=["empty", "mixed", "repeat", "mixed_and_repeat"]
+)
+def test_rejections_name_the_first_fault(report_of, coords, error, message):
+    with pytest.raises(error) as info:
+        report_of(coords)
+    assert str(info.value) == message
 
 
 # ------------------------------------------------- the number formatter

@@ -86,6 +86,13 @@ def test_eta_map_range_overflow_raises():
     assert eta_map([1e308, 0.0]).values == (1.0, 0.0)
 
 
+def test_eta_zsc_square_overflow_raises():
+    # 1e200 * 1e200 is inf without an error, which would zero every z-score
+    with pytest.raises(OverflowError, match="eta_zsc: squared deviations overflow"):
+        eta_zsc([1e200, -1e200])
+    assert eta_zsc([1e150, -1e150]).values == (1.0, -1.0)
+
+
 def test_eta_map_empty():
     with pytest.raises(EmptyColumnError):
         eta_map([])
@@ -232,8 +239,10 @@ def eta_oracle(column, method, sample=False):
         if min(column) == max(column):
             return (0.0,) * n
         mean = math.fsum(column) / n
-        var = math.fsum((v - mean) ** 2 for v in column) / (n - 1 if sample else n)
-        std = math.sqrt(var)
+        var = math.fsum((v - mean) * (v - mean) for v in column)
+        if var == math.inf:
+            raise OverflowError("eta_zsc: squared deviations overflow")
+        std = math.sqrt(var / (n - 1 if sample else n))
         if std == 0.0:
             return (0.0,) * n
         return tuple((v - mean) / std for v in column)
