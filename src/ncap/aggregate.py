@@ -10,8 +10,9 @@ Two families of combination methods:
   multiplies every platform's score by the same factor, leaving the
   ordering untouched.
 
-Platforms with excluded (missing) cells have their remaining weights
-renormalized to sum to 1, so scores stay on a comparable scale.
+A None cell is absent, and a platform with absent cells has its remaining
+weights renormalized to sum to 1, so scores stay on a comparable scale. A
+``present`` mask, where one is given, must mark exactly the None cells absent.
 
 Every method reads one view per column, built once per call. An absent
 cell holds a present value of its column and the weight 0.0, so it enters
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 from itertools import compress, repeat
-from operator import mul, not_, truediv
+from operator import is_, is_not, mul, not_, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
@@ -103,37 +104,18 @@ class ScoreTable(_ScoreTable):
         return tuple(self.columns)
 
 
-def _checked_mask(
-    matrix: FeatureMatrix, weights: WeightVector, present: tuple[tuple[bool, ...], ...] | None
-):
-    """The presence mask, all-True when none is given, after checking its
-    shape and that it marks every missing cell absent."""
+def _columns(matrix: FeatureMatrix, weights: WeightVector):
+    """Per column (spec, the column, its present values, their (min, max),
+    the column with None cells holding that min, each platform's signed
+    weight, 0.0 where absent), and the first platform with no weight on any
+    present feature. Weights are sign * w / usable, with usable 1.0 for a
+    complete row: the bits of sign * w there, of sign * (w / usable) elsewhere."""
     if len(weights) != len(matrix.features):
         raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
-    if present is None:
-        present = ((True,) * len(matrix.features),) * len(matrix.platforms)
-    elif len(present) != len(matrix.platforms) or any(
-        len(row) != len(matrix.features) for row in present
-    ):
-        raise DimensionError("presence mask shape does not match the matrix")
-    for platform, row, mask in zip(matrix.platforms, matrix.values, present):
-        if None in compress(row, mask):
-            spec = next(s for s, c, ok in zip(matrix.features, row, mask) if ok and c is None)
-            raise MissingValueError(
-                f"cell ({platform!r}, {spec.name!r}) is missing but not marked absent; "
-                "resolve missing cells or mark them absent in a presence mask"
-            )
-    return present
-
-
-def _columns(matrix: FeatureMatrix, weights: WeightVector, present):
-    """Per column (spec, mask, present values, their (min, max), the column
-    with absent cells holding that min, each platform's signed weight, 0.0
-    where absent), and the first platform with no weight on any present
-    feature. Weights are sign * w / usable, with usable 1.0 for a complete
-    row: the bits of sign * w there, and of sign * (w / usable) elsewhere."""
-    present = _checked_mask(matrix, weights, present)
-    usable = [1.0 if all(row) else math.fsum(compress(weights.weights, row)) for row in present]
+    usable = [
+        math.fsum(compress(weights.weights, map(is_not, row, repeat(None)))) if None in row else 1.0
+        for row in matrix.values
+    ]
     idle = next(compress(matrix.platforms, map(not_, usable)), None)
     usable = [total or 1.0 for total in usable]  # an idle platform's scores are never returned
     # one weight column per signed weight; +0.0 and -0.0 may share one, as
@@ -141,21 +123,43 @@ def _columns(matrix: FeatureMatrix, weights: WeightVector, present):
     bases: dict[float, list[float]] = {}
     columns = []
     signs = [spec.direction.sign for spec in matrix.features]
-    for spec, signed, column, mask in zip(
-        matrix.features, map(mul, signs, weights.weights), zip(*matrix.values), zip(*present)
+    for spec, signed, column in zip(
+        matrix.features, map(mul, signs, weights.weights), zip(*matrix.values)
     ):
         if signed not in bases:
             bases[signed] = list(map(truediv, repeat(signed), usable))
         found, filled, weights_j = column, column, bases[signed]
-        if not all(mask):
-            found = list(compress(column, mask))
+        if None in column:
+            found = list(compress(column, map(is_not, column, repeat(None))))
         bounds = (min(found), max(found)) if found else (1.0, 1.0)  # 1.0 fills an empty one
         if found is not column:
             filled, weights_j = list(column), list(weights_j)
-            for i in compress(range(len(mask)), map(not_, mask)):
+            for i in compress(range(len(column)), map(is_, column, repeat(None))):
                 filled[i], weights_j[i] = bounds[0], 0.0
-        columns.append((spec, mask, found, bounds, filled, weights_j))
+        columns.append((spec, column, found, bounds, filled, weights_j))
     return columns, idle
+
+
+def _checked(matrix: FeatureMatrix, weights: WeightVector, present):
+    """The matrix's _columns, after checking that the presence mask (all-True
+    when none is given) has its shape and marks exactly its None cells absent."""
+    built = _columns(matrix, weights)
+    n, m = len(matrix.platforms), len(matrix.features)
+    present = ((True,) * m,) * n if present is None else present
+    if len(present) != n or any(len(row) != m for row in present):
+        raise DimensionError("presence mask shape does not match the matrix")
+    for platform, row, mask in zip(matrix.platforms, matrix.values, present):
+        if None in row or not all(mask):
+            for spec, cell, ok in zip(matrix.features, row, mask):
+                where = f"cell ({platform!r}, {spec.name!r})"
+                if ok and cell is None:
+                    raise MissingValueError(
+                        f"{where} is missing but not marked absent; "
+                        "resolve missing cells or mark them absent in a presence mask"
+                    )
+                if not ok and cell is not None:
+                    raise MissingValueError(f"{where} holds {cell!r} but is marked absent")
+    return built
 
 
 def _sum_scores(platforms, columns, idle, method, sample_std) -> dict[str, float]:
@@ -163,11 +167,11 @@ def _sum_scores(platforms, columns, idle, method, sample_std) -> dict[str, float
     signed weighted values with fsum. An absent cell is a term of weight 0.0:
     fsum is correctly rounded, so neither it nor the order changes a bit."""
     terms = []
-    for spec, mask, found, bounds, filled, weights_j in columns:
+    for spec, column, found, bounds, filled, weights_j in columns:
         what = f"feature {spec.name!r}: eta_{method.value}"
         if method.value in ("max", "sum") and bounds[0] <= 0:  # name the first value <= 0
             platform, value = next(
-                (p, v) for p, v, ok in zip(platforms, filled, mask) if ok and v <= 0
+                (p, v) for p, v in zip(platforms, column) if v is not None and v <= 0
             )
             raise DomainError(
                 f"{what} requires strictly positive values; got {value!r} for platform {platform!r}"
@@ -202,9 +206,9 @@ def _product_scores(platforms, columns, idle) -> dict[str, float]:
     for i, platform in enumerate(platforms):
         if platform == idle:
             raise DomainError(f"platform {platform!r} has no weight on any present feature")
-        for spec, mask, _, _, filled, weights_j in columns:
+        for spec, column, _, _, filled, weights_j in columns:
             value, where = filled[i], f"({platform!r}, {spec.name!r})"
-            if mask[i] and value <= 0:
+            if column[i] is not None and value <= 0:
                 raise ProductDomainError(
                     f"weighted product needs positive values; got {value!r} at {where}"
                 )
@@ -229,7 +233,7 @@ def weighted_sum(
     then contributes sign * weight * normalized value to the platform
     score, where the sign is -1 for less-is-better features.
     """
-    return _sum_scores(matrix.platforms, *_columns(matrix, weights, present), method, sample_std)
+    return _sum_scores(matrix.platforms, *_checked(matrix, weights, present), method, sample_std)
 
 
 def weighted_product(
@@ -242,7 +246,7 @@ def weighted_product(
     Values must be strictly positive; less-is-better features get negative
     exponents, so larger raw values shrink the score.
     """
-    return _product_scores(matrix.platforms, *_columns(matrix, weights, present))
+    return _product_scores(matrix.platforms, *_checked(matrix, weights, present))
 
 
 def score_table(
@@ -258,7 +262,7 @@ def score_table(
     if unknown:
         raise DimensionError(f"unknown combination methods: {unknown}")
     platforms = resolved.matrix.platforms
-    columns, idle = _columns(resolved.matrix, weights, resolved.present)
+    columns, idle = _columns(resolved.matrix, weights)
     return ScoreTable(
         platforms=platforms,
         columns={

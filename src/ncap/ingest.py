@@ -238,19 +238,15 @@ class FeatureMatrix(_FeatureMatrix):
 
 
 class ResolvedMatrix(NamedTuple):
-    """A feature matrix paired with a per-cell presence mask.
-
-    Under the error and column-mean policies the matrix carries no missing
-    cells and the mask is all-True; under the exclude policy missing cells
-    stay in the matrix and the mask tells aggregation what to skip.
-    """
+    """A feature matrix after a missing-value policy, where a None cell is
+    absent: only the exclude policy keeps them, for aggregation to skip."""
 
     matrix: FeatureMatrix
-    present: tuple[tuple[bool, ...], ...]
 
     @property
-    def complete(self) -> bool:
-        return all(all(row) for row in self.present)
+    def present(self) -> tuple[tuple[bool, ...], ...]:
+        """Per cell, whether it holds a value, derived from the None cells."""
+        return tuple(tuple(map(is_not, row, repeat(None))) for row in self.matrix.values)
 
 
 class EvalConfig(NamedTuple):
@@ -503,15 +499,14 @@ def serialize_feature_matrix(matrix: FeatureMatrix) -> str:
 
 
 def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> ResolvedMatrix:
-    """Apply a missing-value policy, yielding a matrix plus presence mask.
+    """Apply a missing-value policy; a None cell of the result is absent.
 
-    error: raise on the first missing cell. mean: substitute the column
-    mean of the present values. exclude: keep cells missing and mark them
-    absent in the mask for aggregation-time weight renormalization.
+    error: raise on the first missing cell. mean: fill each column that has
+    a missing cell with the mean of its present values. exclude: keep
+    missing cells None for aggregation-time weight renormalization.
     """
     if not isinstance(policy, MissingValuePolicy):
         raise ConfigError(f"not a missing-value policy: {policy!r}")
-    present = tuple(tuple(map(is_not, row, repeat(None))) for row in matrix.values)
 
     if policy is MissingValuePolicy.ERROR:
         missing = matrix.missing_cells()
@@ -520,24 +515,23 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
             raise MissingValueError(
                 f"missing value at ({platform!r}, {feature!r}) under the error policy"
             )
-        return ResolvedMatrix(matrix=matrix, present=present)
+        return ResolvedMatrix(matrix=matrix)
 
     for j, spec in enumerate(matrix.features):
-        if not any(row[j] for row in present):
+        if all(row[j] is None for row in matrix.values):
             raise DegenerateColumnError(f"feature {spec.name!r} has no present values")
 
     if policy is MissingValuePolicy.EXCLUDE:
-        return ResolvedMatrix(matrix=matrix, present=present)
+        return ResolvedMatrix(matrix=matrix)
 
-    columns = []
-    for spec, column, mask in zip(matrix.features, zip(*matrix.values), zip(*present)):
-        found = list(compress(column, mask))
-        try:
-            mean = math.fsum(found) / len(found)
-        except OverflowError:
-            raise DomainError(f"feature {spec.name!r}: column mean overflows a float") from None
-        if len(found) < len(column):
-            column = [mean if cell is None else cell for cell in column]
-        columns.append(column)
+    columns = list(zip(*matrix.values))
+    for j, (spec, column) in enumerate(zip(matrix.features, columns)):
+        if None in column:  # a complete column needs no mean
+            found = [cell for cell in column if cell is not None]
+            try:
+                mean = math.fsum(found) / len(found)
+            except OverflowError:
+                raise DomainError(f"feature {spec.name!r}: column mean overflows a float") from None
+            columns[j] = [mean if cell is None else cell for cell in column]
     full = FeatureMatrix(matrix.platforms, matrix.features, tuple(zip(*columns)))
-    return ResolvedMatrix(matrix=full, present=((True,) * len(columns),) * len(matrix.platforms))
+    return ResolvedMatrix(matrix=full)

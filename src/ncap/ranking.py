@@ -29,7 +29,7 @@ from .errors import DimensionError, DomainError, InsufficientMethodsError
 
 
 class RankTable(NamedTuple):
-    """Per-method platform ranks (1 = best), with tie groups made explicit.
+    """Per-method platform ranks (1 = best).
 
     Competition ranking: tied platforms share the smallest rank of their
     group and the following rank numbers are skipped.
@@ -37,7 +37,17 @@ class RankTable(NamedTuple):
 
     platforms: tuple[str, ...]
     columns: Mapping[str, Mapping[str, int]]
-    tie_groups: Mapping[str, tuple[tuple[str, ...], ...]]
+
+    @property
+    def tie_groups(self) -> dict[str, tuple[tuple[str, ...], ...]]:
+        """Per method, the platforms sharing each rank, best rank first, in column order."""
+        ties = {}
+        for method, ranks in self.columns.items():
+            groups: dict[int, list[str]] = {}
+            for platform, rank in ranks.items():
+                groups.setdefault(rank, []).append(platform)
+            ties[method] = tuple(tuple(g) for _, g in sorted(groups.items()) if len(g) > 1)
+        return ties
 
 
 class AgreementStats(NamedTuple):
@@ -67,19 +77,11 @@ def rank_table(columns: Mapping[str, Mapping[str, float]]) -> RankTable:
         raise DimensionError("rank_table: no score columns")
     platforms = tuple(next(iter(columns.values())))
     ranked: dict[str, dict[str, int]] = {}
-    ties: dict[str, tuple[tuple[str, ...], ...]] = {}
     for method, scores in columns.items():
         if tuple(scores) != platforms:
             raise DimensionError(f"score column {method!r} has a different platform set")
-        ranks = rank_scores(scores)
-        ranked[method] = ranks
-        groups: dict[int, list[str]] = {}
-        for platform, rank in ranks.items():
-            groups.setdefault(rank, []).append(platform)
-        ties[method] = tuple(
-            tuple(group) for _, group in sorted(groups.items()) if len(group) > 1
-        )
-    return RankTable(platforms=platforms, columns=ranked, tie_groups=ties)
+        ranked[method] = rank_scores(scores)
+    return RankTable(platforms=platforms, columns=ranked)
 
 
 #: Values per insertion-sorted block when counting inversions.

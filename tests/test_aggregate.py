@@ -28,7 +28,6 @@ from ncap import (
     weighted_product,
     weighted_sum,
 )
-from ncap.aggregate import _checked_mask
 from ncap.ingest import MissingValuePolicy
 from ncap.normalize import normalize
 
@@ -148,14 +147,20 @@ class TestWeightedProduct:
     [
         lambda m, w, mask: weighted_sum(m, w, NormalizationMethod.MAX, mask),
         lambda m, w, mask: weighted_product(m, w, mask),
-        lambda m, w, mask: score_table(ResolvedMatrix(m, mask), w, ["max", "product"]),
     ],
-    ids=["weighted_sum", "weighted_product", "score_table"],
+    ids=["weighted_sum", "weighted_product"],
 )
 def test_mask_marking_a_missing_cell_present_is_rejected(scores):
     m = make_matrix([[1, 2], [3, None], [4, None]])
     mask = ((True, True), (True, True), (True, False))
     with pytest.raises(MissingValueError, match=r"\('p1', 'f1'\) is missing"):
+        scores(m, WeightVector.uniform(2), mask)
+    # a mask must mark exactly the None cells absent: a present cell marked
+    # absent is named, the first in row-major order
+    mask = ((True, False), (True, False), (False, False))
+    with pytest.raises(
+        MissingValueError, match=r"^cell \('p0', 'f1'\) holds 2\.0 but is marked absent$"
+    ):
         scores(m, WeightVector.uniform(2), mask)
 
 
@@ -336,8 +341,30 @@ def platform_weights_oracle(weights, row_present, platform):
     return [w / usable if ok else 0.0 for w, ok in zip(weights.weights, row_present)]
 
 
+def checked_mask_oracle(matrix, weights, present):
+    """The presence mask, all-True when none is given, after the checks that
+    scoring made when a resolved matrix still stored its mask: the weight
+    count, the mask's shape, and that it marks every missing cell absent."""
+    if len(weights) != len(matrix.features):
+        raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
+    if present is None:
+        present = ((True,) * len(matrix.features),) * len(matrix.platforms)
+    elif len(present) != len(matrix.platforms) or any(
+        len(row) != len(matrix.features) for row in present
+    ):
+        raise DimensionError("presence mask shape does not match the matrix")
+    for platform, row, mask in zip(matrix.platforms, matrix.values, present):
+        if None in itertools.compress(row, mask):
+            spec = next(s for s, c, ok in zip(matrix.features, row, mask) if ok and c is None)
+            raise MissingValueError(
+                f"cell ({platform!r}, {spec.name!r}) is missing but not marked absent; "
+                "resolve missing cells or mark them absent in a presence mask"
+            )
+    return present
+
+
 def weighted_sum_oracle(matrix, weights, method, present=None, sample_std=False):
-    present = _checked_mask(matrix, weights, present)
+    present = checked_mask_oracle(matrix, weights, present)
     normalized = []
     for j, spec in enumerate(matrix.features):
         holders = [i for i in range(len(matrix.platforms)) if present[i][j]]
@@ -373,7 +400,7 @@ def weighted_sum_oracle(matrix, weights, method, present=None, sample_std=False)
 
 
 def weighted_product_oracle(matrix, weights, present=None):
-    present = _checked_mask(matrix, weights, present)
+    present = checked_mask_oracle(matrix, weights, present)
     scores = {}
     for i, platform in enumerate(matrix.platforms):
         w_eff = platform_weights_oracle(weights, present[i], platform)
@@ -504,7 +531,7 @@ def test_edge_matrices_score_as_oracle(name):
     for sample_std in (False, True):
         for methods in (METHODS, ["max"], ["zsc"], ["product"]):
             assert_scores_equal_oracle(inputs, sample_std, methods)
-    resolved = ResolvedMatrix(matrix, present)
+    resolved = ResolvedMatrix(matrix)
     if name == "cancel_next_to_absent":
         table = score_table(resolved, inputs[1], ["max", "sum", "map", "zsc"])
         assert {repr(column["p0"]) for column in table.columns.values()} == {"0.0"}
@@ -523,7 +550,7 @@ def assert_scores_equal_oracle(inputs, sample_std, methods):
     """score_table, and each method alone under the mask and (when nothing
     is absent) without one, score or fail exactly as the oracles do."""
     matrix, weights, present = inputs
-    resolved = ResolvedMatrix(matrix=matrix, present=present)
+    resolved = ResolvedMatrix(matrix=matrix)
     assert outcome(lambda: score_table(resolved, weights, methods, sample_std)) == outcome(
         lambda: score_table_oracle(resolved, weights, methods, sample_std)
     )

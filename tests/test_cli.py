@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ncap.ingest
 from ncap.cli import main
@@ -951,3 +952,69 @@ def test_integer_feature_name_matches_its_weight(tmp_path, capsys):
     )
     assert (code, err) == (0, "")
     assert out == "platform,method,score,rank\np0,max,0.500000,2\np1,max,1.000000,1\n"
+
+
+# ------------------------------------------------------- metamorphic
+
+
+# ties, the largest and the smallest positive floats; no cell is missing
+COMPLETE_CELLS = st.sampled_from([1.0, 2.0, 2.0, 3.0, 0.5, 1e308, 5e-324])
+
+
+@st.composite
+def complete_inputs(draw):
+    """A matrix CSV with no missing cell and a config with a weight and a
+    capability profile for every platform."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    m = draw(st.integers(min_value=1, max_value=4))
+    rows = draw(st.lists(st.lists(COMPLETE_CELLS, min_size=m, max_size=m), min_size=n, max_size=n))
+    directions = draw(st.lists(st.sampled_from(["more_is_better", "less_is_better"]),
+                               min_size=m, max_size=m))
+    raw = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=m, max_size=m))
+    flags = draw(st.lists(st.tuples(st.booleans(), st.booleans(), st.booleans()),
+                          min_size=n, max_size=n))
+    matrix = "platform," + ",".join(f"f{j}" for j in range(m)) + "\n"
+    matrix += "".join(f"p{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(rows))
+    config = {
+        "features": [{"name": f"f{j}", "direction": d} for j, d in enumerate(directions)],
+        "weights": {f"f{j}": w / sum(raw) for j, w in enumerate(raw)},
+        "profiles": {
+            f"p{i}": dict(zip(("modeling", "planning", "execution"), f))
+            for i, f in enumerate(flags)
+        },
+    }
+    return matrix, yaml.safe_dump(config), draw(st.sampled_from(["uniform", "config"]))
+
+
+METAMORPHIC_RUNS = [[command, "--format", fmt] for command in ("score", "distance", "compare")
+                    for fmt in ("table", "csv", "jsonl")] + [["plotdata"]]
+
+
+# each example overwrites the same two files, and run() reads capsys empty
+@given(complete_inputs())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_missing_policy_changes_nothing_on_a_complete_matrix(tmp_path, capsys, inputs):
+    text, config_text, weights = inputs
+    matrix, config = tmp_path / "matrix.csv", tmp_path / "config.yaml"
+    matrix.write_text(text, encoding="utf-8")
+    config.write_text(config_text, encoding="utf-8")
+    for command in METAMORPHIC_RUNS:
+        outcomes = {
+            missing: run(capsys, *command, "--matrix", str(matrix), "--config", str(config),
+                         "--weights", weights, "--missing", missing)
+            for missing in ("error", "mean", "exclude")
+        }
+        assert outcomes["mean"] == outcomes["error"], (command, text)
+        assert outcomes["exclude"] == outcomes["error"], (command, text)
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    root = SRC.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(root)
+    exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
+    printed = capsys.readouterr().out
+    assert printed.startswith("{") and printed.endswith("}\n"), printed

@@ -12,6 +12,7 @@ from ncap import (
     ConfigError,
     DegenerateColumnError,
     Direction,
+    DomainError,
     EncodingError,
     EvalConfig,
     FeatureMatrix,
@@ -293,7 +294,7 @@ def test_resolve_missing_column_mean():
     m = matrix_of({"a": [10.0, None, 20.0]})
     resolved = resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
     assert resolved.matrix.column(0) == (10.0, 15.0, 20.0)
-    assert resolved.complete
+    assert resolved.present == ((True,), (True,), (True,))
 
 
 def test_resolve_missing_error_mode():
@@ -325,6 +326,50 @@ def test_resolve_missing_keeps_present_cells():
             for j, cell in enumerate(row):
                 if cell is not None:
                     assert resolved.matrix.values[i][j] == cell
+
+
+def test_resolve_missing_mean_leaves_a_complete_column_alone():
+    # the mean of a complete column would overflow, but nothing needs it
+    m = matrix_of({"a": [1e308, 1.5e308], "b": [1.0, None]})
+    resolved = resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
+    assert resolved.matrix.values == ((1e308, 1.0), (1.5e308, 1.0))
+    complete = matrix_of({"a": [1e308, 1.5e308]})
+    assert resolve_missing(complete, MissingValuePolicy.COLUMN_MEAN).matrix == complete
+
+
+def test_resolve_missing_mean_overflow_of_a_column_to_fill_is_an_error():
+    m = matrix_of({"a": [1e308, 1.5e308, None], "b": [1.0, 2.0, 3.0]})
+    with pytest.raises(DomainError, match="^feature 'a': column mean overflows a float$"):
+        resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
+
+
+def eager_mask(matrix):
+    """The presence mask resolve_missing built and stored before it was derived."""
+    return tuple(tuple(cell is not None for cell in row) for row in matrix.values)
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda m: st.lists(
+            st.lists(st.sampled_from([None, -2.0, 0.0, 1.5, 1e300]), min_size=m, max_size=m),
+            min_size=1,
+            max_size=6,
+        )
+    ),
+    st.sampled_from(list(MissingValuePolicy)),
+)
+def test_present_equals_the_eager_mask(rows, policy):
+    m = matrix_of({f"f{j}": [row[j] for row in rows] for j in range(len(rows[0]))})
+    try:
+        resolved = resolve_missing(m, policy)
+    except (MissingValueError, DegenerateColumnError):
+        return
+    # the eager mask was all-True under mean and the input's own mask otherwise
+    expected = eager_mask(m)
+    if policy is MissingValuePolicy.COLUMN_MEAN:
+        expected = ((True,) * len(m.features),) * len(m.platforms)
+    assert resolved.present == expected == eager_mask(resolved.matrix)
+    assert type(resolved.present) is tuple and all(type(row) is tuple for row in resolved.present)
 
 
 cells = st.one_of(

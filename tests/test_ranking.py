@@ -188,7 +188,6 @@ def test_consensus_platform_mismatch():
     table = RankTable(
         platforms=("a", "b"),
         columns={"m1": {"a": 1, "b": 2}, "m2": {"a": 1, "c": 2}},
-        tie_groups={},
     )
     with pytest.raises(DimensionError):
         consensus_report(table)
@@ -228,6 +227,45 @@ def test_benchmark_rank_columns():
 def test_tie_groups_recorded():
     table = rank_table({"zsc": UNIFORM_SCORES["zsc"]})
     assert ("UAS D", "UAS F") in table.tie_groups["zsc"]
+
+
+def tie_groups_oracle(columns):
+    """The tie groups rank_table stored before they were derived on read:
+    per method, each rank's platforms in column order, best rank first,
+    kept where two or more platforms share the rank."""
+    ties = {}
+    for method, scores in columns.items():
+        groups = {}
+        for platform, rank in rank_scores(scores).items():
+            groups.setdefault(rank, []).append(platform)
+        ties[method] = tuple(
+            tuple(group) for _, group in sorted(groups.items()) if len(group) > 1
+        )
+    return ties
+
+
+# few distinct values per column, so most platforms share a rank
+TIE_HEAVY = st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.dictionaries(
+        st.sampled_from(["max", "sum", "map", "zsc", "product"]),
+        st.lists(
+            st.sampled_from([-1.5, -0.0, 0.0, 0.25, 1.0, 5e-324, 1e308]), min_size=n, max_size=n
+        ),
+        min_size=1,
+    )
+)
+
+
+@given(TIE_HEAVY, st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_tie_groups_equal_the_stored_builder(values, rng):
+    platforms = [f"p{i}" for i in range(len(next(iter(values.values()))))]
+    rng.shuffle(platforms)
+    columns = {method: dict(zip(platforms, column)) for method, column in values.items()}
+    table = rank_table(columns)
+    assert table.tie_groups == tie_groups_oracle(columns)
+    assert type(table.tie_groups) is dict
+    assert list(table.tie_groups) == list(columns)
 
 
 @given(st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=10, unique=True))
@@ -316,7 +354,6 @@ def test_consensus_at_scale_equals_merge_oracle():
             name: {f"p{i}": v for i, v in enumerate(col)}
             for name, col in (("x", xs), ("y", ys), ("z", zs))
         },
-        tie_groups={},
     )
     stats = consensus_report(table)
     columns = {"x": xs, "y": ys, "z": zs}

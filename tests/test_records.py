@@ -44,7 +44,7 @@ RECORDS = [
     (DistanceReport, ("max", {"p0": 1.0, "p1": 2.0}, "p1", {"p0": 0.5, "p1": 1.0})),
     (FeatureSpec, ("a", Direction.MORE_IS_BETTER, "m", {"X": 2.0})),
     (FeatureMatrix, (("p0", "p1"), (SPEC_A, SPEC_B), ((1.0, 2.0), (None, 3.0)))),
-    (ResolvedMatrix, (MATRIX, ((True, True), (False, True)))),
+    (ResolvedMatrix, (MATRIX,)),
     (
         EvalConfig,
         ((SPEC_A, SPEC_B), {"a": 0.5, "b": 0.5}, MissingValuePolicy.EXCLUDE, {"p0": PROFILE}),
@@ -52,7 +52,7 @@ RECORDS = [
     (CapabilityProfile, ("p0", True, False, True, True, {"lidar": "datasheet"})),
     (AutonomyLevel, (1, ("p0: execution capability ignored; lower layer planning is absent",))),
     (NormalizedColumn, ((0.5, 1.0), NormalizationMethod.MAX)),
-    (RankTable, (("p0", "p1"), {"max": {"p0": 2, "p1": 1}}, {"max": (("p1",), ("p0",))})),
+    (RankTable, (("p0", "p1"), {"max": {"p0": 2, "p1": 1}})),
     (AgreementStats, (("max", "sum"), {("max", "sum"): 1.0}, {1: ("p1",)})),
 ]
 
@@ -123,6 +123,19 @@ def test_replace_keeps_the_class(cls, values):
     again = record._replace(**{cls._fields[0]: values[0]})
     assert again == record
     assert type(again) is cls
+
+
+def test_derived_fields_are_read_only_properties():
+    resolved = ResolvedMatrix(MATRIX)
+    ranks = RankTable(("p0", "p1", "p2"), {"max": {"p0": 1, "p1": 1, "p2": 3}})
+    assert resolved.present == ((True, True), (False, True))
+    assert ranks.tie_groups == {"max": (("p0", "p1"),)}
+    assert (ResolvedMatrix._fields, RankTable._fields) == (("matrix",), ("platforms", "columns"))
+    for record, name in ((resolved, "present"), (ranks, "tie_groups")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(TypeError):
+        ResolvedMatrix(MATRIX, ((True, True), (False, True)))
 
 
 def test_capability_profile_default_evidence_is_empty_and_read_only():
