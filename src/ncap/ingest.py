@@ -41,7 +41,6 @@ from yaml.resolver import Resolver
 from .errors import (
     ConfigError,
     DegenerateColumnError,
-    DomainError,
     EncodingError,
     FormatError,
     MissingValueError,
@@ -72,16 +71,26 @@ def read_utf8(path: str | Path, error: type[NcapError]) -> str:
         raise error(f"{path} is not UTF-8 text (byte {exc.start}: {exc.reason})") from None
 
 
+def _lines(text: str) -> Iterator[str]:
+    """The lines io.StringIO(text) yields, without its copy of the text: each
+    piece ends after a "\\n" (and no other line break), the last one may not."""
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start) + 1 or size
+        yield text[start:end]
+        start = end
+
+
 def csv_rows(text: str) -> Iterator[tuple[int, list[str]]]:
     """Each non-blank row of CSV text as (the line it starts on, its stripped
     cells). A row wider or narrower than the first, or a malformed quoted
     field, raises FormatError naming the line."""
-    reader = csv.reader(io.StringIO(text), strict=True)
+    reader = csv.reader(_lines(text), strict=True)
     line, width = 1, None
     try:
         for row in reader:
             if row:
-                cells = [cell.strip() for cell in row]
+                cells = list(map(str.strip, row))
                 width = width or len(cells)
                 if len(cells) != width:
                     raise FormatError(f"line {line}: expected {width} cells, got {len(cells)}")
@@ -455,6 +464,9 @@ def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
         if name not in declared:
             raise ConfigError(f"feature {name!r} is not declared in the config")
     specs = tuple(declared[name] for name in header[1:])
+    # per column, each token's value: a missing token is None even where an
+    # encoding lists it; any other cell is read by float()
+    tables = [{**(spec.encoding or {}), **dict.fromkeys(MISSING_TOKENS)} for spec in specs]
 
     platforms: list[str] = []
     grid: list[tuple[float | None, ...]] = []
@@ -463,27 +475,19 @@ def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
         if not platform:
             raise FormatError(f"line {line_no}: empty platform id")
         platforms.append(platform)
-        grid.append(
-            tuple(
-                _parse_cell(cell, spec, platform, line_no)
-                for spec, cell in zip(specs, cells[1:])
-            )
-        )
+        try:
+            grid.append(tuple([t[c] if c in t else float(c) for t, c in zip(tables, cells[1:])]))
+        except ValueError:  # name the first cell float() cannot read
+            for spec, table, cell in zip(specs, tables, cells[1:]):
+                if cell not in table:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise EncodingError(
+                            f"line {line_no}, feature {spec.name!r}: "
+                            f"no encoding for token {cell!r} (platform {platform!r})"
+                        ) from None
     return FeatureMatrix(platforms=tuple(platforms), features=specs, values=tuple(grid))
-
-
-def _parse_cell(cell: str, spec: FeatureSpec, platform: str, line_no: int) -> float | None:
-    if cell in MISSING_TOKENS:
-        return None
-    if spec.encoding and cell in spec.encoding:
-        return spec.encoding[cell]
-    try:
-        return float(cell)
-    except ValueError:
-        raise EncodingError(
-            f"line {line_no}, feature {spec.name!r}: no encoding for token {cell!r} "
-            f"(platform {platform!r})"
-        ) from None
 
 
 def serialize_feature_matrix(matrix: FeatureMatrix) -> str:
@@ -509,12 +513,12 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
         raise ConfigError(f"not a missing-value policy: {policy!r}")
 
     if policy is MissingValuePolicy.ERROR:
-        missing = matrix.missing_cells()
-        if missing:
-            platform, feature = missing[0]
-            raise MissingValueError(
-                f"missing value at ({platform!r}, {feature!r}) under the error policy"
-            )
+        for platform, row in zip(matrix.platforms, matrix.values):
+            if None in row:
+                feature = matrix.features[row.index(None)].name
+                raise MissingValueError(
+                    f"missing value at ({platform!r}, {feature!r}) under the error policy"
+                )
         return ResolvedMatrix(matrix=matrix)
 
     for j, spec in enumerate(matrix.features):
@@ -525,13 +529,14 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
         return ResolvedMatrix(matrix=matrix)
 
     columns = list(zip(*matrix.values))
-    for j, (spec, column) in enumerate(zip(matrix.features, columns)):
+    for j, column in enumerate(columns):
         if None in column:  # a complete column needs no mean
             found = [cell for cell in column if cell is not None]
             try:
                 mean = math.fsum(found) / len(found)
-            except OverflowError:
-                raise DomainError(f"feature {spec.name!r}: column mean overflows a float") from None
+            except OverflowError:  # scaled by 2**-k < 1/n, no partial sum overflows
+                k = len(found).bit_length()
+                mean = math.fsum(math.ldexp(cell, -k) for cell in found) / len(found) * 2.0**k
             columns[j] = [mean if cell is None else cell for cell in column]
     full = FeatureMatrix(matrix.platforms, matrix.features, tuple(zip(*columns)))
     return ResolvedMatrix(matrix=full)

@@ -518,6 +518,7 @@ def _zsc_overflow(tmp_path, matrix, config):
 
 
 def _mean_fill_overflow(tmp_path, matrix, config):
+    # the fill, 1.25e308, is a float, but the filled column overflows eta_sum
     return _one_feature(tmp_path, ["1e308", "1.5e308", "-"]) + ["--missing", "mean"]
 
 
@@ -724,6 +725,16 @@ UNBUILDABLE_CASES = [
     )
     for name, text in UNBUILDABLE_SCALARS.items()
 ]
+
+
+def test_mean_fill_of_a_column_whose_sum_overflows(tmp_path, capsys):
+    argv = _mean_fill_overflow(tmp_path, None, None) + ["--methods", "max", "--format", "csv"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == (
+        "platform,method,score,rank\n"
+        "p0,max,0.666667,3\np1,max,1.000000,1\np2,max,0.833333,2\n"
+    )
 
 
 @pytest.mark.parametrize(

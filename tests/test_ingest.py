@@ -1,4 +1,7 @@
 import ast
+import csv
+import io
+import math
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +15,6 @@ from ncap import (
     ConfigError,
     DegenerateColumnError,
     Direction,
-    DomainError,
     EncodingError,
     EvalConfig,
     FeatureMatrix,
@@ -290,6 +292,141 @@ def test_csv_is_read_only_by_csv_rows():
     assert writers == [("ingest.py", "csv_text")]
 
 
+def csv_rows_oracle(text):
+    """csv_rows as it was when it read the text through io.StringIO."""
+    reader = csv.reader(io.StringIO(text), strict=True)
+    line, width = 1, None
+    try:
+        for row in reader:
+            if row:
+                cells = [cell.strip() for cell in row]
+                width = width or len(cells)
+                if len(cells) != width:
+                    raise FormatError(f"line {line}: expected {width} cells, got {len(cells)}")
+                yield line, cells
+            line = reader.line_num + 1
+    except csv.Error as exc:
+        raise FormatError(f"line {line}: malformed CSV: {exc}") from None
+
+
+def parse_cell_oracle(cell, spec, platform, line_no):
+    """One cell as parse_feature_matrix_text read it, one call per cell."""
+    if cell in ncap.ingest.MISSING_TOKENS:
+        return None
+    if spec.encoding and cell in spec.encoding:
+        return spec.encoding[cell]
+    try:
+        return float(cell)
+    except ValueError:
+        raise EncodingError(
+            f"line {line_no}, feature {spec.name!r}: no encoding for token {cell!r} "
+            f"(platform {platform!r})"
+        ) from None
+
+
+def parse_oracle(text, cfg):
+    """parse_feature_matrix_text cell by cell over csv_rows_oracle."""
+    rows = csv_rows_oracle(text)
+    _, header = next(rows, (1, []))
+    declared = {spec.name: spec for spec in cfg.features}
+    for name in header[1:]:
+        if name not in declared:
+            raise ConfigError(f"feature {name!r} is not declared in the config")
+    specs = tuple(declared[name] for name in header[1:])
+    platforms, grid = [], []
+    for line_no, cells in rows:
+        platform = cells[0]
+        if not platform:
+            raise FormatError(f"line {line_no}: empty platform id")
+        platforms.append(platform)
+        grid.append(
+            tuple(
+                parse_cell_oracle(cell, spec, platform, line_no)
+                for spec, cell in zip(specs, cells[1:])
+            )
+        )
+    return FeatureMatrix(platforms=tuple(platforms), features=specs, values=tuple(grid))
+
+
+def result(read):
+    """(repr of read()'s value, None), or (None, its NcapError's class and message)."""
+    try:
+        return repr(read()), None
+    except ncap.NcapError as exc:
+        return None, (type(exc), str(exc))
+
+
+# quotes, separators and every character str.splitlines() splits at, of
+# which io.StringIO splits at "\n" only
+csv_texts = st.tuples(
+    st.text(alphabet=',"\r\n\0\x0c\x1c\x85  ab', max_size=40), st.booleans()
+).map(lambda drawn: drawn[0] + "\n" if drawn[1] else drawn[0])
+
+
+@given(csv_texts)
+@example('a,"b\r\nc"\x85,d \n\x0c\n"e",f')
+@example('a,b\n"c,d')
+@settings(max_examples=500)
+def test_csv_rows_read_as_io_stringio_lines_read(text):
+    assert result(lambda: list(ncap.ingest.csv_rows(text))) == result(
+        lambda: list(csv_rows_oracle(text))
+    )
+
+
+def test_csv_rows_hold_no_copy_of_the_text():
+    """io.StringIO keeps the text at 4 bytes a character; csv_rows reads it
+    a line at a time."""
+    row = ",".join(f"{i}.25" for i in range(40)) + "\n"
+    text = row * (1_000_000 // len(row) + 1)
+    assert len(text) >= 1_000_000 and text.isascii()
+    tracemalloc.start()
+    try:
+        for _ in ncap.ingest.csv_rows(text):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(text) / 2
+
+
+def test_missing_token_wins_over_an_encoding_and_an_encoding_over_a_number():
+    cfg = config(spec("a", encoding={"-": 5.0, "1": 9.0}))
+    m = parse_feature_matrix_text("platform,a\np0,-\np1,1\np2,2\n", cfg)
+    assert m.values == ((None,), (9.0,), (2.0,))
+
+
+TOKENS = ["FHD", "4k", "-", "1", "N/A"]
+matrix_cells = st.sampled_from(
+    ["1", " 2.5 ", "-3", "0", "1_0", *TOKENS, "", "x", "1x", "nan", "inf", "-1e999", "1e999"]
+)
+
+
+@st.composite
+def matrix_texts(draw):
+    """A config over features f0.. with encodings that may list missing
+    tokens or numbers, and a matrix text whose ids may be empty or repeat."""
+    m = draw(st.integers(min_value=1, max_value=4))
+    encodings = st.none() | st.dictionaries(
+        st.sampled_from(TOKENS), st.sampled_from([1.0, 2.0, 7.5]), max_size=3
+    )
+    cfg = config(*(spec(f"f{j}", encoding=draw(encodings)) for j in range(m)))
+    ids = st.sampled_from(["p0", "p1", "p2", "p3", "p4", ""])
+    rows = draw(st.lists(st.tuples(ids, st.lists(matrix_cells, min_size=m, max_size=m)), max_size=5))
+    lines = [",".join(["platform", *(f"f{j}" for j in range(m))])]
+    lines += [",".join([platform, *row]) for platform, row in rows]
+    return "\n".join(lines) + "\n", cfg
+
+
+@given(matrix_texts())
+@example(("platform,f0,f1\np0,1,x\np1,nan,y\n", config(spec("f0"), spec("f1"))))
+@settings(max_examples=500)
+def test_parse_feature_matrix_text_reads_as_the_per_cell_parser_read(drawn):
+    text, cfg = drawn
+    assert result(lambda: parse_feature_matrix_text(text, cfg)) == result(
+        lambda: parse_oracle(text, cfg)
+    )
+
+
 def test_resolve_missing_column_mean():
     m = matrix_of({"a": [10.0, None, 20.0]})
     resolved = resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
@@ -300,6 +437,15 @@ def test_resolve_missing_column_mean():
 def test_resolve_missing_error_mode():
     m = matrix_of({"a": [10.0, None, 20.0]})
     with pytest.raises(MissingValueError, match="'p1'.*'a'"):
+        resolve_missing(m, MissingValuePolicy.ERROR)
+
+
+def test_resolve_missing_error_names_the_first_missing_cell_row_by_row():
+    m = matrix_of({"a": [1.0, 1.0, None], "b": [1.0, None, 1.0], "c": [1.0, None, None]})
+    assert m.missing_cells()[0] == ("p1", "b")
+    with pytest.raises(
+        MissingValueError, match=r"^missing value at \('p1', 'b'\) under the error policy$"
+    ):
         resolve_missing(m, MissingValuePolicy.ERROR)
 
 
@@ -337,10 +483,34 @@ def test_resolve_missing_mean_leaves_a_complete_column_alone():
     assert resolve_missing(complete, MissingValuePolicy.COLUMN_MEAN).matrix == complete
 
 
-def test_resolve_missing_mean_overflow_of_a_column_to_fill_is_an_error():
+def mean_fill(column):
+    """The value resolve_missing(mean) writes into the last cell of
+    ``column``, which must be None."""
+    m = matrix_of({"a": column})
+    return resolve_missing(m, MissingValuePolicy.COLUMN_MEAN).matrix.values[-1][0]
+
+
+def test_resolve_missing_mean_of_a_column_whose_sum_overflows():
+    """The mean of finite values fits in a float even where their sum does not."""
     m = matrix_of({"a": [1e308, 1.5e308, None], "b": [1.0, 2.0, 3.0]})
-    with pytest.raises(DomainError, match="^feature 'a': column mean overflows a float$"):
-        resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
+    resolved = resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
+    assert resolved.matrix.values == ((1e308, 1.0), (1.5e308, 2.0), (1.25e308, 3.0))
+    # dividing by a power of two is exact, so the fill scales with the column;
+    # fsum and / 3 round twice, so the fill is not 1.7e308 itself
+    assert mean_fill([1.7e308] * 3 + [None]) == 4 * mean_fill([1.7e308 / 4] * 3 + [None])
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=8))
+def test_resolve_missing_mean_fill_is_finite_and_keeps_its_bits(found):
+    """Any column of finite values gets a finite fill, and one whose sum does
+    not overflow gets fsum / n, the fill it always had."""
+    fill = mean_fill([*found, None])
+    assert math.isfinite(fill)
+    try:
+        expected = math.fsum(found) / len(found)
+    except OverflowError:
+        return
+    assert fill == expected
 
 
 def eager_mask(matrix):
