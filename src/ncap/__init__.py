@@ -11,7 +11,6 @@ by autonomy distance absolutely and relative to the best system.
 from .aggregate import (
     METHODS,
     ScoreTable,
-    WeightScheme,
     WeightVector,
     score_table,
     weighted_product,
@@ -100,7 +99,6 @@ __all__ = [
     "RankTable",
     "ResolvedMatrix",
     "ScoreTable",
-    "WeightScheme",
     "WeightVector",
     "autonomy_distance",
     "classify",

@@ -23,7 +23,6 @@ every score keeps the bits its present cells alone give it.
 from __future__ import annotations
 
 import math
-from enum import Enum
 from itertools import compress, repeat
 from operator import is_, is_not, mul, not_, truediv
 from typing import Mapping, NamedTuple, Sequence
@@ -38,14 +37,8 @@ from .normalize import NormalizationMethod, _apply, _plan
 METHODS = ("max", "sum", "map", "zsc", "product")
 
 
-class WeightScheme(Enum):
-    UNIFORM = "uniform"
-    USER_DEFINED = "user_defined"
-
-
 class _WeightVector(NamedTuple):
     weights: tuple[float, ...]
-    scheme: WeightScheme
 
 
 class WeightVector(_WeightVector):
@@ -54,7 +47,7 @@ class WeightVector(_WeightVector):
     __slots__ = ()
     _make = classmethod(checked_make)
 
-    def __new__(cls, weights: tuple[float, ...], scheme: WeightScheme):
+    def __new__(cls, weights: tuple[float, ...]):
         if not weights:
             raise DimensionError("weight vector must not be empty")
         for w in weights:
@@ -63,17 +56,17 @@ class WeightVector(_WeightVector):
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"weights must sum to 1, got {total!r}")
-        return super().__new__(cls, weights, scheme)
+        return super().__new__(cls, weights)
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
         if n < 1:
             raise DimensionError("need at least one feature")
-        return cls(weights=(1.0 / n,) * n, scheme=WeightScheme.UNIFORM)
+        return cls((1.0 / n,) * n)
 
     @classmethod
     def user_defined(cls, weights: Sequence[float]) -> "WeightVector":
-        return cls(weights=tuple(float(w) for w in weights), scheme=WeightScheme.USER_DEFINED)
+        return cls(tuple(float(w) for w in weights))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -162,7 +155,7 @@ def _checked(matrix: FeatureMatrix, weights: WeightVector, present):
     return built
 
 
-def _sum_scores(platforms, columns, idle, method, sample_std) -> dict[str, float]:
+def _sum_scores(platforms, columns, idle, method) -> dict[str, float]:
     """Normalize each column over its present cells, then sum each platform's
     signed weighted values with fsum. An absent cell is a term of weight 0.0:
     fsum is correctly rounded, so neither it nor the order changes a bit."""
@@ -177,7 +170,7 @@ def _sum_scores(platforms, columns, idle, method, sample_std) -> dict[str, float
                 f"{what} requires strictly positive values; got {value!r} for platform {platform!r}"
             )
         try:
-            plan = _plan(found, method, sample_std, bounds)
+            plan = _plan(found, method, bounds=bounds)
         except OverflowError:
             raise DomainError(
                 f"feature {spec.name!r}: values too large for eta_{method.value}"
@@ -225,7 +218,6 @@ def weighted_sum(
     weights: WeightVector,
     method: NormalizationMethod,
     present: tuple[tuple[bool, ...], ...] | None = None,
-    sample_std: bool = False,
 ) -> dict[str, float]:
     """Weighted normalized sum scores, one per platform.
 
@@ -233,7 +225,7 @@ def weighted_sum(
     then contributes sign * weight * normalized value to the platform
     score, where the sign is -1 for less-is-better features.
     """
-    return _sum_scores(matrix.platforms, *_checked(matrix, weights, present), method, sample_std)
+    return _sum_scores(matrix.platforms, *_checked(matrix, weights, present), method)
 
 
 def weighted_product(
@@ -253,7 +245,6 @@ def score_table(
     resolved: ResolvedMatrix,
     weights: WeightVector,
     methods: Sequence[str],
-    sample_std: bool = False,
 ) -> ScoreTable:
     """Run every requested combination method over a resolved matrix."""
     if not methods:
@@ -268,7 +259,7 @@ def score_table(
         columns={
             method: _product_scores(platforms, columns, idle)
             if method == "product"
-            else _sum_scores(platforms, columns, idle, NormalizationMethod(method), sample_std)
+            else _sum_scores(platforms, columns, idle, NormalizationMethod(method))
             for method in methods
         },
     )

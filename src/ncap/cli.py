@@ -185,17 +185,16 @@ def _input_scores(args: argparse.Namespace, config: EvalConfig | None = None) ->
         return _load_score_csv(args.scores, args.methods)
     if config is None:
         config = load_config(args.config)
-    matrix = parse_feature_matrix(args.matrix, config)
     policy = MissingValuePolicy(args.missing or config.missing or "error")
-    resolved = resolve_missing(matrix, policy)
+    # no name holds the parsed matrix: under mean, resolve's filled copy replaces it
+    resolved = resolve_missing(parse_feature_matrix(args.matrix, config), policy)
+    names = resolved.matrix.feature_names
     if args.weights == "config":
         if config.weights is None:
             raise ConfigError("--weights config requested but the config has no weights")
-        weights = WeightVector.user_defined(
-            [config.weights[name] for name in matrix.feature_names]
-        )
+        weights = WeightVector.user_defined([config.weights[name] for name in names])
     else:
-        weights = WeightVector.uniform(len(matrix.features))
+        weights = WeightVector.uniform(len(names))
     return score_table(resolved, weights, args.methods)
 
 

@@ -318,7 +318,6 @@ def _yaml_value(text: str):
     """
     resolve, constructor, scalars, error = Resolver().resolve, SafeConstructor(), {}, None
     stack = [[]]  # items of each open collection, the stream's documents first
-    mapping = [False]  # whether each open collection is a mapping
     for event in yaml.parse(text, Loader=YAML_LOADER):
         kind = type(event)
         if kind is ScalarEvent:
@@ -338,20 +337,16 @@ def _yaml_value(text: str):
                     error = error or ConstructorError(None, None, str(exc), event.start_mark)
             stack[-1].append(scalars[key])
         elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if (
-                event.anchor is not None
-                or event.tag not in (None, "!")
-                or (mapping[-1] and len(stack[-1]) % 2 == 0)  # a collection as a key
-            ):
+            if event.anchor is not None or event.tag not in (None, "!"):
                 break
             stack.append([])
-            mapping.append(kind is MappingStartEvent)
         elif kind is MappingEndEvent:
             items = iter(stack.pop())
-            mapping.pop()
-            stack[-1].append(dict(zip(items, items)))
+            try:
+                stack[-1].append(dict(zip(items, items)))
+            except TypeError:  # a collection as a key: lists and dicts are unhashable
+                break
         elif kind is SequenceEndEvent:
-            mapping.pop()
             stack[-2].append(stack.pop())
         elif kind is AliasEvent or (kind is DocumentStartEvent and stack[0]):
             break

@@ -331,6 +331,52 @@ def test_missing_input_file_is_single_line_error(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+# argv with M, S and C for the bundled matrix, a score file and the bundled
+# config, X for a file that does not exist; the detail of the one error line
+CHECKED_INPUTS = {
+    "score_without_config": (["score", "--matrix", "M"], "score needs --config"),
+    "level_without_config": (["level"], "level needs --config"),
+    "distance_without_config": (["distance", "--matrix", "M"], "distance needs --config"),
+    "plotdata_without_config": (["plotdata", "--scores", "S"], "plotdata needs --config"),
+    "compare_matrix_without_config": (
+        ["compare", "--matrix", "M"], "compare needs --config when scoring from a matrix"
+    ),
+    "distance_without_input": (
+        ["distance", "--config", "C"], "distance needs --matrix or --scores"
+    ),
+    "plotdata_without_input": (
+        ["plotdata", "--config", "C"], "plotdata needs --matrix or --scores"
+    ),
+    "compare_without_input": (["compare"], "compare needs --matrix or --scores"),
+    "matrix_not_found": (["score", "--matrix", "X", "--config", "C"], "input file not found: {X}"),
+    "scores_not_found": (["compare", "--scores", "X"], "input file not found: {X}"),
+    "config_not_found": (["level", "--config", "X"], "input file not found: {X}"),
+}
+
+
+@pytest.mark.parametrize("argv,detail", CHECKED_INPUTS.values(), ids=CHECKED_INPUTS)
+def test_checked_inputs_print_one_exact_error_line(
+    tmp_path, capsys, benchmark_matrix_path, benchmark_config_path, argv, detail
+):
+    absent = str(tmp_path / "absent.csv")
+    files = {
+        "M": str(benchmark_matrix_path),
+        "S": str(write_scores_csv(tmp_path / "scores.csv", UNIFORM_SCORES)),
+        "C": str(benchmark_config_path),
+        "X": absent,
+    }
+    code, out, err = run(capsys, *(files.get(arg, arg) for arg in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: ConfigError: {detail.format(X=absent)}\n"
+
+
+def test_compare_from_scores_needs_no_config(tmp_path, capsys):
+    scores = write_scores_csv(tmp_path / "scores.csv", UNIFORM_SCORES)
+    code, out, err = run(capsys, "compare", "--scores", str(scores), "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.startswith("method_a,method_b,tau\n")
+
+
 # --------------------------------------------------- formats, output bytes
 
 

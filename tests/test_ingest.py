@@ -119,6 +119,20 @@ def test_empty_matrix_rejected():
         parse_feature_matrix_text("platform,a\n", cfg)
 
 
+@pytest.mark.parametrize(
+    "values,detail",
+    [
+        (((1.0,),), "value grid has 1 rows for 2 platforms"),
+        (((1.0,), (2.0, 3.0)), "row for 'p1' has 2 cells, expected 1"),
+    ],
+    ids=["rows", "width"],
+)
+def test_feature_matrix_grid_must_fit_its_platforms_and_features(values, detail):
+    with pytest.raises(FormatError) as raised:
+        FeatureMatrix(("p0", "p1"), (spec("a"),), values)
+    assert (raised.type, str(raised.value)) == (FormatError, detail)
+
+
 def test_benchmark_file_shape(benchmark_matrix):
     assert len(benchmark_matrix.platforms) == 7
     assert len(benchmark_matrix.features) == 10
@@ -455,6 +469,13 @@ def test_resolve_missing_degenerate_column():
         resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
     with pytest.raises(DegenerateColumnError):
         resolve_missing(m, MissingValuePolicy.EXCLUDE)
+
+
+def test_resolve_missing_takes_a_policy_not_its_name():
+    m = matrix_of({"a": [10.0, None, 20.0]})
+    with pytest.raises(ConfigError) as raised:
+        resolve_missing(m, "mean")
+    assert (raised.type, str(raised.value)) == (ConfigError, "not a missing-value policy: 'mean'")
 
 
 def test_resolve_missing_exclude_mask():

@@ -161,6 +161,23 @@ def test_kendall_tau_platform_mismatch():
         kendall_tau({"a": 1, "b": 2}, {"a": 1, "c": 2})
 
 
+@pytest.mark.parametrize(
+    "columns,detail",
+    [
+        ({}, "rank_table: no score columns"),
+        (
+            {"m1": {"a": 1.0, "b": 2.0}, "m2": {"a": 1.0, "c": 2.0}},
+            "score column 'm2' has a different platform set",
+        ),
+    ],
+    ids=["no_columns", "platforms_differ"],
+)
+def test_rank_table_rejects_columns_it_cannot_rank_together(columns, detail):
+    with pytest.raises(DimensionError) as raised:
+        rank_table(columns)
+    assert (raised.type, str(raised.value)) == (DimensionError, detail)
+
+
 def test_consensus_benchmark_uniform():
     stats = consensus_report(rank_table(UNIFORM_SCORES))
     assert stats.unanimous.get(1) == ("UAS E",)

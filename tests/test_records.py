@@ -27,7 +27,6 @@ from ncap import (
     RankTable,
     ResolvedMatrix,
     ScoreTable,
-    WeightScheme,
     WeightVector,
 )
 
@@ -38,7 +37,7 @@ PROFILE = CapabilityProfile("p0", True, False, True, True, {"lidar": "datasheet"
 
 # one record of each public class, as (class, field values in field order)
 RECORDS = [
-    (WeightVector, ((0.25, 0.75), WeightScheme.USER_DEFINED)),
+    (WeightVector, ((0.25, 0.75),)),
     (ScoreTable, (("p0", "p1"), {"max": {"p0": 1.0, "p1": 0.5}})),
     (NcapCoordinate, ("p0", 2, 0.5, "max")),
     (DistanceReport, ("max", {"p0": 1.0, "p1": 2.0}, "p1", {"p0": 0.5, "p1": 1.0})),
@@ -157,7 +156,7 @@ def test_eval_config_default_profiles_are_empty_and_read_only():
 def test_weight_vector_len_counts_weights():
     weights = WeightVector.uniform(3)
     assert len(weights) == 3
-    assert weights._replace(scheme=WeightScheme.USER_DEFINED).scheme is WeightScheme.USER_DEFINED
+    assert WeightVector._fields == ("weights",)
 
 
 @pytest.mark.parametrize(
