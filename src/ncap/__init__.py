@@ -52,7 +52,6 @@ from .ingest import (
     parse_feature_matrix,
     parse_feature_matrix_text,
     resolve_missing,
-    serialize_feature_matrix,
 )
 from .level import AutonomyLevel, CapabilityProfile, classify
 from .normalize import (
@@ -120,7 +119,6 @@ __all__ = [
     "resolve_missing",
     "score_table",
     "select_reference",
-    "serialize_feature_matrix",
     "weighted_product",
     "weighted_sum",
 ]

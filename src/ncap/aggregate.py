@@ -68,9 +68,6 @@ class WeightVector(_WeightVector):
     def user_defined(cls, weights: Sequence[float]) -> "WeightVector":
         return cls(tuple(float(w) for w in weights))
 
-    def __len__(self) -> int:
-        return len(self.weights)
-
 
 class _ScoreTable(NamedTuple):
     platforms: tuple[str, ...]
@@ -103,8 +100,8 @@ def _columns(matrix: FeatureMatrix, weights: WeightVector):
     weight, 0.0 where absent), and the first platform with no weight on any
     present feature. Weights are sign * w / usable, with usable 1.0 for a
     complete row: the bits of sign * w there, of sign * (w / usable) elsewhere."""
-    if len(weights) != len(matrix.features):
-        raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
+    if len(weights.weights) != len(matrix.features):
+        raise DimensionError(f"{len(weights.weights)} weights for {len(matrix.features)} features")
     usable = [
         math.fsum(compress(weights.weights, map(is_not, row, repeat(None)))) if None in row else 1.0
         for row in matrix.values

@@ -233,9 +233,6 @@ class FeatureMatrix(_FeatureMatrix):
     def feature_names(self) -> tuple[str, ...]:
         return tuple(f.name for f in self.features)
 
-    def column(self, index: int) -> tuple[float | None, ...]:
-        return tuple(row[index] for row in self.values)
-
     def missing_cells(self) -> list[tuple[str, str]]:
         """(platform, feature) pairs of every missing cell, row-major order."""
         return [
@@ -483,18 +480,6 @@ def parse_feature_matrix_text(text: str, config: EvalConfig) -> FeatureMatrix:
                             f"no encoding for token {cell!r} (platform {platform!r})"
                         ) from None
     return FeatureMatrix(platforms=tuple(platforms), features=specs, values=tuple(grid))
-
-
-def serialize_feature_matrix(matrix: FeatureMatrix) -> str:
-    """Render a matrix back to CSV text; missing cells serialize as empty.
-
-    Numbers use repr, so parse -> serialize -> parse is lossless.
-    """
-    rows = (
-        [platform, *("" if cell is None else repr(cell) for cell in row)]
-        for platform, row in zip(matrix.platforms, matrix.values)
-    )
-    return csv_text(["platform", *matrix.feature_names], rows)
 
 
 def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> ResolvedMatrix:

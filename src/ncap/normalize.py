@@ -35,7 +35,7 @@ class NormalizedColumn(NamedTuple):
     method: NormalizationMethod
 
 
-def _plan(column: Sequence[float], method: NormalizationMethod, sample_std=False, bounds=None):
+def _plan(column: Sequence[float], method: NormalizationMethod, bounds=None):
     """How ``method`` maps ``column``: (shift, scale) for v -> (v - shift) / scale,
     with shift None for v -> v / scale, or the float every value maps to.
     ``bounds``, the (min, max) of a finite column that max and sum may take,
@@ -75,7 +75,7 @@ def _plan(column: Sequence[float], method: NormalizationMethod, sample_std=False
     var = math.fsum(map(mul, deviations, deviations))
     if var == math.inf:  # a finite deviation's square overflowed
         raise OverflowError("eta_zsc: squared deviations overflow")
-    std = math.sqrt(var / (n - 1 if sample_std else n))
+    std = math.sqrt(var / n)
     # squared deviations can underflow for subnormal spreads
     return 0.0 if std == 0.0 else (mean, std)
 
@@ -90,12 +90,9 @@ def _apply(plan, column: Sequence[float]) -> Iterator[float]:
     return map(truediv, column, repeat(scale))
 
 
-def normalize(
-    column: Sequence[float], method: NormalizationMethod, sample_std: bool = False
-) -> NormalizedColumn:
+def normalize(column: Sequence[float], method: NormalizationMethod) -> NormalizedColumn:
     """Apply the named normalization technique to one column."""
-    plan = _plan(column, method, sample_std)
-    return NormalizedColumn(tuple(_apply(plan, column)), method)
+    return NormalizedColumn(tuple(_apply(_plan(column, method), column)), method)
 
 
 def eta_max(column: Sequence[float]) -> NormalizedColumn:
@@ -121,12 +118,11 @@ def eta_map(column: Sequence[float]) -> NormalizedColumn:
     return normalize(column, NormalizationMethod.MAP)
 
 
-def eta_zsc(column: Sequence[float], sample: bool = False) -> NormalizedColumn:
+def eta_zsc(column: Sequence[float]) -> NormalizedColumn:
     """Standard score: subtract the mean, divide by the standard deviation.
 
-    Uses the population deviation (divide by n) by default, since the
-    platforms under evaluation form the whole population of interest;
-    pass sample=True for the n-1 convention. A zero-spread column maps
-    to 0 everywhere (every value *is* the mean).
+    Uses the population deviation (divide by n), since the platforms under
+    evaluation form the whole population of interest. A zero-spread column
+    maps to 0 everywhere (every value *is* the mean).
     """
-    return normalize(column, NormalizationMethod.ZSC, sample_std=sample)
+    return normalize(column, NormalizationMethod.ZSC)

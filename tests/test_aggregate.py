@@ -365,8 +365,8 @@ def checked_mask_oracle(matrix, weights, present):
     """The presence mask, all-True when none is given, after the checks that
     scoring made when a resolved matrix still stored its mask: the weight
     count, the mask's shape, and that it marks every missing cell absent."""
-    if len(weights) != len(matrix.features):
-        raise DimensionError(f"{len(weights)} weights for {len(matrix.features)} features")
+    if len(weights.weights) != len(matrix.features):
+        raise DimensionError(f"{len(weights.weights)} weights for {len(matrix.features)} features")
     if present is None:
         present = ((True,) * len(matrix.features),) * len(matrix.platforms)
     elif len(present) != len(matrix.platforms) or any(

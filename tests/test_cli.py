@@ -3,6 +3,7 @@ import gc
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -209,12 +210,6 @@ def test_distance_single_platform_is_own_reference(tmp_path, capsys):
     assert float(row["relative"]) == 0.0
 
 
-def test_distance_needs_matrix_or_scores(benchmark_config_path, capsys):
-    code, _, err = run(capsys, "distance", "--config", str(benchmark_config_path))
-    assert code == 1
-    assert err.startswith("error: ConfigError:")
-
-
 # -------------------------------------------------------------- plotdata
 
 
@@ -320,15 +315,6 @@ def test_plotdata_is_deterministic(tmp_path, benchmark_matrix_path, benchmark_co
         ]) == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
-
-
-def test_missing_input_file_is_single_line_error(capsys):
-    code, _, err = run(
-        capsys, "score", "--matrix", "nope.csv", "--config", "nope.yaml"
-    )
-    assert code == 1
-    assert err.startswith("error: ConfigError:")
-    assert len(err.strip().splitlines()) == 1
 
 
 # argv with M, S and C for the bundled matrix, a score file and the bundled
@@ -1075,3 +1061,10 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     exec(compile(code, "README.md", "exec"), {"__name__": "readme"})
     printed = capsys.readouterr().out
     assert printed.startswith("{") and printed.endswith("}\n"), printed
+
+
+def test_readme_supported_names_are_ncap_all():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Supported names\n", 1)[1].split("\n#", 1)[0]
+    names = re.findall(r"`([A-Za-z_]\w*)`", section.split("\n- ", 1)[1])
+    assert sorted(names) == sorted(ncap.__all__)

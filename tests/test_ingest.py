@@ -25,7 +25,6 @@ from ncap import (
     load_config,
     parse_feature_matrix_text,
     resolve_missing,
-    serialize_feature_matrix,
 )
 
 
@@ -444,7 +443,7 @@ def test_parse_feature_matrix_text_reads_as_the_per_cell_parser_read(drawn):
 def test_resolve_missing_column_mean():
     m = matrix_of({"a": [10.0, None, 20.0]})
     resolved = resolve_missing(m, MissingValuePolicy.COLUMN_MEAN)
-    assert resolved.matrix.column(0) == (10.0, 15.0, 20.0)
+    assert resolved.matrix.values == ((10.0,), (15.0,), (20.0,))
     assert resolved.present == ((True,), (True,), (True,))
 
 
@@ -561,6 +560,16 @@ def test_present_equals_the_eager_mask(rows, policy):
         expected = ((True,) * len(m.features),) * len(m.platforms)
     assert resolved.present == expected == eager_mask(resolved.matrix)
     assert type(resolved.present) is tuple and all(type(row) is tuple for row in resolved.present)
+
+
+def serialize_feature_matrix(matrix):
+    """The matrix as CSV text: missing cells empty, numbers by repr, so
+    parse -> serialize -> parse is lossless."""
+    rows = (
+        [platform, *("" if cell is None else repr(cell) for cell in row)]
+        for platform, row in zip(matrix.platforms, matrix.values)
+    )
+    return ncap.ingest.csv_text(["platform", *matrix.feature_names], rows)
 
 
 cells = st.one_of(

@@ -117,11 +117,6 @@ def test_eta_zsc_two_points():
     assert eta_zsc([0, 10]).values == (-1.0, 1.0)
 
 
-def test_eta_zsc_sample_convention():
-    # sample std of [1,2,3] is 1, so scores are the deviations themselves
-    assert eta_zsc([1, 2, 3], sample=True).values == pytest.approx((-1.0, 0.0, 1.0))
-
-
 def test_eta_zsc_needs_two_values():
     with pytest.raises(EmptyColumnError):
         eta_zsc([4])
@@ -231,7 +226,7 @@ def _require_positive_oracle(column, name):
             )
 
 
-def eta_oracle(column, method, sample=False):
+def eta_oracle(column, method):
     if method is NormalizationMethod.ZSC:
         n = len(column)
         if n < 2:
@@ -242,7 +237,7 @@ def eta_oracle(column, method, sample=False):
         var = math.fsum((v - mean) * (v - mean) for v in column)
         if var == math.inf:
             raise OverflowError("eta_zsc: squared deviations overflow")
-        std = math.sqrt(var / (n - 1 if sample else n))
+        std = math.sqrt(var / n)
         if std == 0.0:
             return (0.0,) * n
         return tuple((v - mean) / std for v in column)
@@ -278,12 +273,11 @@ ODD_VALUES = [1.0, 2.0, 2.0, 0.1, 3, -1.0, 0.0, -0.0, 5e-324, 1e308, -1e308, 1.5
         st.one_of(st.sampled_from(ODD_VALUES), st.floats(allow_nan=True)), max_size=12
     ),
     st.sampled_from(list(NormalizationMethod)),
-    st.booleans(),
 )
 @settings(max_examples=500)
-def test_normalize_equals_oracle_bit_for_bit(column, method, sample):
-    got = _outcome(lambda: normalize(column, method, sample_std=sample).values)
-    assert got == _outcome(lambda: eta_oracle(column, method, sample))
+def test_normalize_equals_oracle_bit_for_bit(column, method):
+    got = _outcome(lambda: normalize(column, method).values)
+    assert got == _outcome(lambda: eta_oracle(column, method))
 
 
 @pytest.mark.parametrize("eta", [eta_max, eta_sum], ids=["max", "sum"])

@@ -154,9 +154,17 @@ def test_eval_config_default_profiles_are_empty_and_read_only():
 
 
 def test_weight_vector_len_counts_weights():
+    # a one-field record: it iterates, indexes and unpacks as its one field,
+    # and the weight count is the length of that field
     weights = WeightVector.uniform(3)
-    assert len(weights) == 3
     assert WeightVector._fields == ("weights",)
+    assert len(weights) == 1
+    assert list(weights) == [weights.weights]
+    (only,) = weights
+    assert weights[0] is only is weights.weights
+    with pytest.raises(IndexError):
+        weights[1]
+    assert len(weights.weights) == 3
 
 
 @pytest.mark.parametrize(
