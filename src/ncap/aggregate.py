@@ -108,6 +108,8 @@ def _columns(matrix: FeatureMatrix, weights: WeightVector):
     ]
     idle = next(compress(matrix.platforms, map(not_, usable)), None)
     usable = [total or 1.0 for total in usable]  # an idle platform's scores are never returned
+    # when every usable is 1.0, signed / 1.0 is signed: one float shared n times
+    shared = usable.count(1.0) == len(usable)
     # one weight column per signed weight; +0.0 and -0.0 may share one, as
     # x * 0.0 is a zero that fsum drops either way and x ** 0.0 is 1.0
     bases: dict[float, list[float]] = {}
@@ -117,7 +119,9 @@ def _columns(matrix: FeatureMatrix, weights: WeightVector):
         matrix.features, map(mul, signs, weights.weights), zip(*matrix.values)
     ):
         if signed not in bases:
-            bases[signed] = list(map(truediv, repeat(signed), usable))
+            bases[signed] = (
+                [signed] * len(usable) if shared else list(map(truediv, repeat(signed), usable))
+            )
         found, filled, weights_j = column, column, bases[signed]
         if None in column:
             found = list(compress(column, map(is_not, column, repeat(None))))

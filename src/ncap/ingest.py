@@ -17,26 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from enum import Enum
 from itertools import compress, repeat
 from operator import is_not
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
-
-import yaml
-from yaml.constructor import ConstructorError, SafeConstructor
-from yaml.events import (
-    AliasEvent,
-    DocumentStartEvent,
-    MappingEndEvent,
-    MappingStartEvent,
-    ScalarEvent,
-    SequenceEndEvent,
-    SequenceStartEvent,
-)
-from yaml.nodes import ScalarNode
-from yaml.resolver import Resolver
 
 from .errors import (
     ConfigError,
@@ -49,17 +36,6 @@ from .errors import (
 from .level import LAYERS_ABOVE_PERCEPTION, CapabilityProfile
 
 MISSING_TOKENS = frozenset({"", "-", "N/A"})
-
-#: libyaml's loader when PyYAML was built with it; both loaders emit the same
-#: events and build values with the same SafeConstructor, only the scanner
-#: and parser differ.
-YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-# the tags an untagged scalar may resolve to that _yaml_value builds; the
-# others PyYAML resolves to, merge "<<" and value "=", only yaml.load builds
-_SCALAR_TAGS = frozenset(
-    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "str", "timestamp")
-)
 
 
 def read_utf8(path: str | Path, error: type[NcapError]) -> str:
@@ -268,12 +244,7 @@ def load_config(path: str | Path) -> EvalConfig:
     """Load and validate an evaluation config from a YAML file."""
     try:
         raw = _yaml_value(read_utf8(path, ConfigError))
-    except yaml.YAMLError as exc:
-        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-        detail = problem if mark and problem else str(exc).partition("\n")[0]
-        raise ConfigError(f"cannot parse config {path}: {where}{detail}") from None
-    except ValueError as exc:  # yaml.load met a scalar it resolves but cannot build
+    except ValueError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
     raw = _mapping(raw, f"config {path}", ("features", "weights", "missing", "profiles"))
 
@@ -300,65 +271,279 @@ def load_config(path: str | Path) -> EvalConfig:
     return EvalConfig(features=features, weights=weights, missing=missing, profiles=profiles)
 
 
-def _yaml_value(text: str):
-    """The value yaml.load(text, Loader=YAML_LOADER) gives, built straight
-    from the parser's events where the text allows.
+#: The loader yaml.load reads a config outside the line reader's subset
+#: with; None picks libyaml's when PyYAML was built with it, else the
+#: pure-Python one, when it is first needed, so that a config inside the
+#: subset imports no PyYAML.
+YAML_LOADER = None
 
-    Mappings, sequences and untagged scalars are built without PyYAML's node
-    tree: a scalar's tag comes from PyYAML's Resolver and its value from
-    SafeConstructor's method for that tag, once per (text, implicit) pair.
-    An anchor, alias, explicit tag, merge key "<<", value key "=", collection
-    as a key or second document sends the whole text to yaml.load. A scalar
-    that resolves but cannot be built, such as 2021-13-01, raises
-    ConstructorError at its start once the stream has parsed, so a syntax
-    error anywhere wins, as it does in yaml.load. Nothing outlives the call.
-    """
-    resolve, constructor, scalars, error = Resolver().resolve, SafeConstructor(), {}, None
-    stack = [[]]  # items of each open collection, the stream's documents first
-    for event in yaml.parse(text, Loader=YAML_LOADER):
-        kind = type(event)
-        if kind is ScalarEvent:
-            if event.anchor is not None or event.tag not in (None, "!"):
+# the tags an untagged scalar may resolve to that the line reader builds; the
+# others PyYAML resolves to, merge "<<" and value "=", only yaml.load builds
+_SCALAR_TAGS = frozenset(
+    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "str", "timestamp")
+)
+
+
+def _yaml_value(text: str):
+    """The value yaml.load(text, Loader=YAML_LOADER) gives. A text outside the
+    line reader's subset is read by yaml.load; a YAML error becomes a
+    ValueError with its problem, after its line and column where known."""
+    try:
+        return _subset_value(text)
+    except (_Outside, RecursionError):
+        pass
+    import yaml
+
+    try:
+        return yaml.load(text, Loader=YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    except yaml.YAMLError as exc:
+        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        detail = problem if mark and problem else str(exc).partition("\n")[0]
+        raise ValueError(f"{where}{detail}") from None
+
+
+class _Outside(Exception):
+    """The text holds YAML that the line reader leaves to yaml.load."""
+
+
+# a plain scalar starts with no indicator and no space, or with "-" before a
+# character that is neither space, ":" nor a flow indicator
+_INDICATORS = "-?:,[]{}#&*!|>'\"%@`"
+_AFTER_DASH = " :,[]{}"
+_START = rf"(?:[^\n {re.escape(_INDICATORS)}]|-[^\n{re.escape(_AFTER_DASH)}])"
+_QUOTE = r"'[^'\n]*'" r'|"[^"\\\n]*"'  # a quoted scalar without escapes
+# each line that holds more than a comment as (its indent, its "- " entry
+# markers, a quoted or plain key, the colon and spaces after that, the rest)
+_ROW = re.compile(
+    rf"^( *)(?=[^ \n#])((?:-(?: +|$))*)(?:({_QUOTE}|{_START}[^:\n]*)(:(?: +|$)))?([^\n]*)", re.M
+)
+_QUOTED = re.compile(rf"({_QUOTE})(?: +#.*)?$")
+_FLOW_SCALAR = re.compile(rf"""({_QUOTE})|({_START}[^,\[\]{{}}#:?'"]*)""")
+_SPACES = re.compile(" *")
+_COMMENT = re.compile(" +#")
+# the longest key read here, well below the 1024 characters that both
+# parsers allow a key before its colon
+_KEY_SPAN = 200
+
+# plain scalars read without PyYAML's resolver: ints and floats as YAML 1.1
+# writes them in decimal, true/false and null in the forms it resolves
+_INT = re.compile(r"[-+]?(?:0|[1-9][0-9]{0,17})")
+_FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
+_WORDS = {
+    **dict.fromkeys(("true", "True", "TRUE"), True),
+    **dict.fromkeys(("false", "False", "FALSE"), False),
+    **dict.fromkeys(("null", "Null", "NULL", "~"), None),
+}
+# a plain scalar not in _WORDS is text unless it starts with a character
+# that keys one of PyYAML's resolvers for numbers, timestamps, "<<" and "=",
+# or is one of YAML 1.1's other booleans; those get PyYAML's tag and value
+_RESOLVED = frozenset("-+.0123456789<=")
+_YAML11_BOOLS = frozenset(
+    ("yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF")
+)
+
+
+def _subset_value(text: str):
+    """The value yaml.load gives a text in the line reader's subset: block
+    mappings and sequences (including "- key: value" entries), one-line flow
+    mappings and sequences of scalars, plain and quoted scalars without
+    escapes or line breaks, and comments. Raises _Outside for any other text,
+    and ValueError, at its line and column, for the first plain scalar that
+    YAML resolves but cannot build (2021-13-01), once the text has been read."""
+    # a document start or end marker sends the text to yaml.load, and so does
+    # a character Python does not print: a tab, a line break other than "\n",
+    # a byte-order mark, a surrogate and every character PyYAML refuses
+    if text.startswith(("---", "...")) or "\n---" in text or "\n..." in text:
+        raise _Outside
+    if not text.replace("\n", "").isprintable():
+        raise _Outside
+    reader = _LineReader(text)
+    value = None if reader.row is None else reader.block(reader.row[0])
+    if reader.row is not None:
+        raise _Outside
+    if reader.error:
+        raise ValueError(reader.error)
+    return value
+
+
+class _LineReader:
+    """One pass of the line reader over a text, a row at a time: ``row`` is
+    the current row (None past the last) and ``at`` its index. An indent is
+    its run of spaces; such runs compare as their lengths do. Nothing
+    outlives the pass."""
+
+    def __init__(self, text: str):
+        self.text, self.at, self.error, self.build = text, 0, None, None
+        self.keys = {}  # each plain key read as text, so that a repeated key is one object
+        self.rows = map(re.Match.groups, _ROW.finditer(text))
+        self.row = next(self.rows, None)
+
+    def advance(self):
+        self.row, self.at = next(self.rows, None), self.at + 1
+
+    def block(self, indent: str):
+        """The block node whose first row, the current one, sits at ``indent``."""
+        if self.row[1]:
+            return self.sequence(indent)
+        return self.mapping(indent)
+
+    def nested(self, indent: str, indentless: bool):
+        """The value of an entry at ``indent`` with nothing after its indicator:
+        the block below it, an indentless sequence for a mapping key, or null."""
+        if self.row is not None:
+            below, dashes = self.row[:2]
+            if below > indent or (indentless and below == indent and dashes):
+                return self.block(below)
+        return None
+
+    def sequence(self, indent: str) -> list:
+        items = []
+        while self.row is not None:
+            at_indent, dashes, key, colon, rest = self.row
+            if at_indent != indent or not dashes:
                 break
-            key = (event.value, event.implicit)
-            if key not in scalars:
-                tag = resolve(ScalarNode, event.value, event.implicit)
-                if tag not in _SCALAR_TAGS:
+            inner = dashes[1:].lstrip(" ")
+            column = indent + " " * (len(dashes) - len(inner))
+            if inner or key:
+                # a compact sequence or mapping: the rest of the row is its first row
+                self.row = (column, inner, key, colon, rest)
+                items.append(self.block(column))
+                continue
+            if rest and rest[0] != "#":
+                items.append(self.inline(rest, len(column)))
+                self.advance()
+            else:
+                self.advance()
+                items.append(self.nested(indent, False))
+        return items
+
+    def mapping(self, indent: str) -> dict:
+        out = {}
+        while self.row is not None:
+            at_indent, dashes, key, colon, rest = self.row
+            if at_indent != indent:
+                break
+            if dashes or not key or key[-1] == " " or len(key) > _KEY_SPAN:
+                raise _Outside
+            column = len(indent) + len(key) + len(colon)
+            if key[0] == "'" or key[0] == '"':
+                key = key[1:-1]
+            elif key in self.keys:
+                key = self.keys[key]
+            elif " #" in key:  # a comment, not a key
+                raise _Outside
+            else:
+                text, key = key, self.scalar(key, len(indent))
+                if type(key) is str:
+                    self.keys[text] = key
+            if rest and rest[0] != "#":
+                out[key] = self.inline(rest, column)
+                self.advance()
+            else:
+                self.advance()
+                out[key] = self.nested(indent, True)
+        return out
+
+    def inline(self, text: str, column: int):
+        """The scalar or one-line flow collection that ``text`` (the rest of the
+        row, from ``column`` on) holds, with at most a trailing comment."""
+        text = text.rstrip(" ")
+        first = text[0]
+        if first == "'" or first == '"':
+            match = _QUOTED.match(text)
+            if match is None:
+                raise _Outside
+            return match[1][1:-1]
+        if first == "[" or first == "{":
+            return self.flow(text, column)
+        if first in _INDICATORS and (first != "-" or text[1:2] in _AFTER_DASH):
+            raise _Outside
+        text = text.partition(" #")[0].rstrip(" ")
+        if ": " in text or text[-1] == ":":
+            raise _Outside
+        return self.scalar(text, column)
+
+    def flow(self, text: str, column: int):
+        """The one-line flow sequence or mapping of scalars that ``text`` holds."""
+        mapping = text[0] == "{"
+        close, items = ("}", {}) if mapping else ("]", [])
+        at = _SPACES.match(text, 1).end()
+        if text.startswith(close, at):
+            at += 1
+        else:
+            while True:
+                start = at
+                value, at = self.flow_scalar(text, at, column)
+                if mapping:
+                    if not text.startswith(": ", at) or at - start > _KEY_SPAN:
+                        raise _Outside
+                    key, at = value, _SPACES.match(text, at + 2).end()
+                    value = None
+                    if text[at : at + 1] not in (",", "}"):
+                        value, at = self.flow_scalar(text, at, column)
+                    items[key] = value
+                else:
+                    items.append(value)
+                if text.startswith(close, at):
+                    at += 1
                     break
-                try:
-                    scalars[key] = constructor.yaml_constructors[tag](
-                        constructor, ScalarNode(tag, event.value)
-                    )
-                except ValueError as exc:
-                    scalars[key] = None
-                    error = error or ConstructorError(None, None, str(exc), event.start_mark)
-            stack[-1].append(scalars[key])
-        elif kind is MappingStartEvent or kind is SequenceStartEvent:
-            if event.anchor is not None or event.tag not in (None, "!"):
-                break
-            stack.append([])
-        elif kind is MappingEndEvent:
-            items = iter(stack.pop())
-            try:
-                stack[-1].append(dict(zip(items, items)))
-            except TypeError:  # a collection as a key: lists and dicts are unhashable
-                break
-        elif kind is SequenceEndEvent:
-            stack[-2].append(stack.pop())
-        elif kind is AliasEvent or (kind is DocumentStartEvent and stack[0]):
-            break
-    else:
-        if error is not None:
-            raise error
-        return stack[0][0] if stack[0] else None
-    return yaml.load(text, Loader=YAML_LOADER)
+                if not text.startswith(",", at):
+                    raise _Outside
+                at = _SPACES.match(text, at + 1).end()
+        if at < len(text) and not _COMMENT.match(text, at):
+            raise _Outside
+        return items
+
+    def flow_scalar(self, text: str, at: int, column: int):
+        """The scalar at text[at] inside a flow collection, and where the next token starts."""
+        match = _FLOW_SCALAR.match(text, at)
+        if match is None:
+            raise _Outside
+        quoted, plain = match.groups()
+        value = quoted[1:-1] if quoted else self.scalar(plain.rstrip(" "), column + at)
+        return value, _SPACES.match(text, match.end()).end()
+
+    def scalar(self, text: str, column: int):
+        """A plain scalar's value, as PyYAML resolves and builds it, for a
+        scalar at ``column`` of the current row."""
+        if text in _WORDS:
+            return _WORDS[text]
+        if text[0] not in _RESOLVED and text not in _YAML11_BOOLS:
+            return text
+        if _INT.fullmatch(text):
+            return int(text)
+        if _FLOAT.fullmatch(text):
+            return float(text)
+        # any other: PyYAML's Resolver gives its tag, SafeConstructor its value
+        if self.build is None:
+            from yaml.constructor import SafeConstructor
+            from yaml.nodes import ScalarNode
+            from yaml.resolver import Resolver
+
+            self.build = Resolver().resolve, SafeConstructor(), ScalarNode
+        resolve, constructor, scalar_node = self.build
+        tag = resolve(scalar_node, text, (True, False))
+        if tag not in _SCALAR_TAGS:
+            raise _Outside
+        try:
+            return constructor.yaml_constructors[tag](constructor, scalar_node(tag, text))
+        except ValueError as exc:
+            if self.error is None:
+                lines = [n for n, line in enumerate(self.text.split("\n")) if _ROW.match(line)]
+                self.error = f"line {lines[self.at] + 1}, column {column + 1}: {exc}"
+            return None
 
 
 def _utf8(key, what: str) -> str:
-    """A config key or note as text. A YAML null is not text, and a lone
-    surrogate (from a YAML escape) cannot be written out."""
+    """A config key, name, unit or note as text. A YAML null, list or mapping
+    is not text, and a lone surrogate (from a YAML escape) cannot be written out."""
+    if type(key) is str and key.isascii():
+        return key
     if key is None:
         raise ConfigError(f"{what} must not be null")
+    if isinstance(key, (list, dict)):
+        raise ConfigError(f"{what} must not be a {'list' if isinstance(key, list) else 'mapping'}")
     text = str(key)
     try:
         text.encode("utf-8")
@@ -405,13 +590,13 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
         name = _utf8(entry["name"], "feature name")
         if name in specs:
             raise ConfigError(f"feature {name!r} is declared more than once")
-        encoding = entry.get("encoding")
+        unit, encoding = entry.get("unit"), entry.get("encoding")
         if encoding is not None:
             encoding = _mapping(encoding, f"feature {name!r}: encoding")
         specs[name] = FeatureSpec(
             name=name,
             direction=_choice(Direction, entry.get("direction"), f"feature {name!r}: direction"),
-            unit="" if entry.get("unit") is None else str(entry["unit"]),
+            unit="" if unit is None else _utf8(unit, f"feature {name!r}: unit"),
             encoding=encoding,
         )
     return tuple(specs.values())

@@ -716,3 +716,16 @@ def test_tau_b_is_symmetric(inputs, policy):
     assert {pair: repr(tau) for pair, tau in stats.tau.items()} == {
         (a, b): repr(tau) for (b, a), tau in stats.tau.items()
     }
+
+
+def test_complete_matrix_shares_one_float_per_weight_column():
+    """With no absent cell every usable weight total is 1.0, so each weight
+    column holds one float object n times rather than n equal copies."""
+    from ncap.aggregate import _columns
+
+    matrix = make_matrix([[1.0 + i, 2.0 * i + 1.0, 3.0] for i in range(50)], [MIB, LIB, MIB])
+    columns, idle = _columns(matrix, WeightVector.user_defined([0.2, 0.3, 0.5]))
+    assert idle is None
+    for *_, weights_j in columns:
+        assert len(weights_j) == 50
+        assert all(w is weights_j[0] for w in weights_j)

@@ -719,7 +719,7 @@ def _compare_matrix_without_config(tmp_path, matrix, config):
 
 
 # scalars YAML resolves to a date or a number that Python cannot build; the
-# last one, explicitly tagged, is built by yaml.load rather than from events
+# last one, explicitly tagged, is built by yaml.load rather than the line reader
 UNBUILDABLE_SCALARS = {
     "impossible_month": "    unit: 2021-13-01\n",
     "impossible_day": "    unit: 2021-02-30\n",
@@ -889,11 +889,17 @@ def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS)
 def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, loader):
-    """A scalar built from parser events is reported at its start; one that
-    yaml.load builds (an explicit tag sends the text there) without one."""
+    """A scalar the line reader reads, in a block or a one-line flow, is
+    reported at its start; one that yaml.load builds (an explicit tag or a
+    nested flow collection sends the text there) without one."""
     monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
     path = tmp_path / "c.yaml"
-    for unit, where in (("2021-13-01", "line 3, column 11: "), ("!!timestamp 2021-13-01", "")):
+    for unit, where in (
+        ("2021-13-01", "line 3, column 11: "),
+        ("[m, 2021-13-01]", "line 3, column 15: "),
+        ("!!timestamp 2021-13-01", ""),
+        ("[[2021-13-01]]", ""),
+    ):
         path.write_text(f"features:\n  - name: a\n    unit: {unit}\n")
         code, out, err = run(capsys, "level", "--config", str(path))
         assert (code, out) == (1, "")

@@ -1,11 +1,16 @@
 """The error contract under mutated input, through main().
 
-Each example mutates the bundled feature matrix: cells replaced by odd
-tokens, rows and columns deleted or duplicated. It then runs one command
-in one format twice, once to stdout and once with --out. Whatever the
-input, the run exits 0, 1 or 2 without a traceback; a failure is one
+Each matrix example mutates the bundled feature matrix: cells replaced by
+odd tokens, rows and columns deleted or duplicated. It then runs one
+command in one format twice, once to stdout and once with --out. Whatever
+the input, the run exits 0, 1 or 2 without a traceback; a failure is one
 "error: <Class>: <detail>" line; every jsonl line is strict JSON; and
 stdout holds the same bytes as the --out file.
+
+Each config example mutates the bundled config, written in block style or
+with one-line flow collections, and runs level and score once as shipped
+and once with every config read by yaml.load: both runs give the same
+exit code, stdout and error line.
 """
 
 import contextlib
@@ -14,8 +19,10 @@ import json
 import re
 
 import pytest
+import yaml
 from hypothesis import given, settings, strategies as st
 
+import ncap.ingest
 from ncap.cli import main
 
 TOKENS = ["-", "N/A", "nan", "inf", "1e308", "5e-324", "-0", "0", "-3", "zzz",
@@ -103,3 +110,84 @@ def test_mutated_matrix_keeps_the_error_contract(
         if fmt == "jsonl":
             for line in out.decode("utf-8").splitlines():
                 json.loads(line, parse_constant=reject_constant)
+
+
+# values and characters that stay inside the line reader's subset, take
+# PyYAML's resolver, or send the whole config to yaml.load
+CONFIG_VALUES = ["yes", "0o17", "1_000", ".inf", "1:20", "2021-01-01", "2021-13-01", "0x_",
+                 "2001-12-14t21:59:43.10-05:00", "&a mean", "*a", "!!str 5", "~", "''", "'q'",
+                 '"q"', "true", "-1", "1.5", "1e5", "[a, b]", "{x: 1}", "[[x]]", "|", ""]
+CONFIG_CHARS = ["\t", "\r", "\ufeff", " # c", "'", '"', ": ", "#", "- ", " "]
+CONFIG_EDITS = st.one_of(
+    st.tuples(st.sampled_from(["delete", "duplicate"]), AT),
+    st.tuples(st.sampled_from(["swap", "swap_keys"]), AT, AT),
+    st.tuples(st.just("value"), AT, st.sampled_from(CONFIG_VALUES)),
+    st.tuples(st.just("insert"), AT, AT, st.sampled_from(CONFIG_CHARS)),
+)
+POSITION = re.compile(r"line \d+, column \d+: ")
+
+
+def mutate_config(text, edits):
+    lines = text.split("\n")
+    for op, k, *at in edits:
+        k %= len(lines)
+        if op == "delete" and len(lines) > 1:
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            m = at[0] % len(lines)
+            lines[k], lines[m] = lines[m], lines[k]
+        elif op == "swap_keys":
+            m = at[0] % len(lines)
+            a, b = lines[k].split(":", 1), lines[m].split(":", 1)
+            if len(a) == len(b) == 2:
+                lines[k], lines[m] = f"{b[0]}:{a[1]}", f"{a[0]}:{b[1]}"
+        elif op == "value":
+            key, sep, _ = lines[k].partition(": ")
+            lines[k] = f"{key}: {at[0]}" if sep else f"{lines[k]} {at[0]}"
+        elif op == "insert":
+            p = at[0] % (len(lines[k]) + 1)
+            lines[k] = lines[k][:p] + at[1] + lines[k][p:]
+    return "\n".join(lines)
+
+
+def flow_form(text):
+    """The config with each collection of scalars written as one-line flow."""
+    value = yaml.safe_load(text)
+    return yaml.safe_dump(value, default_flow_style=None, sort_keys=False, allow_unicode=True,
+                          width=1 << 20)
+
+
+def read_by_yaml_load(text):
+    raise ncap.ingest._Outside
+
+
+@pytest.mark.parametrize("form", ["block", "flow"])
+@given(edits=st.lists(CONFIG_EDITS, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_mutated_config_reads_as_yaml_load_reads_it(
+    workdir, benchmark_matrix_path, benchmark_config_path, form, edits
+):
+    text = benchmark_config_path.read_text("utf-8")
+    config = workdir / f"config-{form}.yaml"
+    config.write_bytes(
+        mutate_config(text if form == "block" else flow_form(text), edits).encode("utf-8")
+    )
+    for argv in (["level", "--config", str(config), "--format", "csv"],
+                 ["score", "--matrix", str(benchmark_matrix_path), "--config", str(config),
+                  "--weights", "config", "--format", "csv"]):
+        code, out, err = run(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncap.ingest, "_subset_value", read_by_yaml_load)
+            loaded = run(argv)
+        assert code in (0, 1, 2)
+        assert (code, out) == loaded[:2]
+        if code == 1:
+            assert out == b"" and ERROR_LINE.fullmatch(err) and ERROR_LINE.fullmatch(loaded[2])
+        if err != loaded[2]:
+            # the line reader names the first unbuildable scalar at its place;
+            # yaml.load names one without a place, not always the same one
+            prefix = f"error: ConfigError: cannot parse config {config}: "
+            assert err.startswith(prefix) and loaded[2].startswith(prefix)
+            assert POSITION.match(err, len(prefix)) and not POSITION.match(loaded[2], len(prefix))

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -263,6 +264,32 @@ def test_config_keys_are_text(tmp_path):
     assert cfg.features[0].encoding == {"1": 2.0, "2.5": 3.0}
     assert cfg.weights == {"7": 1.0}
     assert cfg.profiles["12"].evidence == {"True": "4"}
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("features:\n  - {name: [a, b], direction: more_is_better}\n",
+         "feature name must not be a list"),
+        ("features:\n  - name: a\n    direction: more_is_better\n    unit: {x: 1}\n",
+         "feature 'a': unit must not be a mapping"),
+        ("features:\n  - name: a\n    direction: more_is_better\n    unit: [m, s]\n",
+         "feature 'a': unit must not be a list"),
+        (FEATURE_A + PROFILE + ", evidence: {modeling: [lidar, cam]}}\n",
+         "profile for 'p': evidence for 'modeling' must not be a list"),
+        (FEATURE_A + PROFILE + ",\n      evidence: {modeling: [lidar, {cam: 2}]}}\n",
+         "profile for 'p': evidence for 'modeling' must not be a list"),
+    ],
+    ids=["list_name", "mapping_unit", "list_unit", "list_note", "nested_note"],
+)
+def test_config_text_fields_reject_lists_and_mappings(tmp_path, text, message):
+    """A name, unit or evidence note is text: a list or mapping there is not
+    read as its Python repr."""
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == message
 
 
 def test_csv_rows_report_the_line_each_row_starts_on():
@@ -627,28 +654,65 @@ documents = st.recursive(
 )
 
 
-def read_yaml(loader, text, load=yaml.load):
-    """The value load_config reads from ``text`` with ``loader`` as its YAML
-    loader; ``load`` stands in for yaml.load, None when the text must not
-    need it."""
+def read_yaml(loader, text):
+    """The value load_config reads from ``text``, with ``loader`` as the
+    loader of yaml.load, which reads what the line reader leaves."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ncap.ingest, "YAML_LOADER", loader)
-        patch.setattr(yaml, "load", load)
         return ncap.ingest._yaml_value(text)
+
+
+OUTSIDE = "outside the line reader's subset"
+
+
+def read_subset(text):
+    """(value, None) of the line reader alone, (None, its ValueError), or
+    (None, OUTSIDE) for a text it leaves to yaml.load."""
+    try:
+        return ncap.ingest._subset_value(text), None
+    except ncap.ingest._Outside:
+        return None, OUTSIDE
+    except ValueError as exc:
+        return None, exc
 
 
 @with_libyaml
 @given(documents, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_libyaml_loads_what_the_pure_loader_loads(document, flow):
-    """yaml.load under each loader, and the event builder under each without
-    falling back to yaml.load, give one value, with the same types and key
-    order (repr tells True from 1 and 1.0, and orders keys)."""
+    """yaml.load under each loader, load_config's read under each, and the
+    line reader wherever it reads the text give one value, with the same types
+    and key order (repr tells True from 1 and 1.0, and orders keys)."""
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=True)
     expected = yaml.load(text, Loader=yaml.SafeLoader)
     assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
     for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        assert repr(read_yaml(loader, text, load=None)) == repr(expected)
+        assert repr(read_yaml(loader, text)) == repr(expected)
+    value, error = read_subset(text)
+    assert (repr(value), error) in ((repr(expected), None), ("None", OUTSIDE))
+
+
+words = st.text(alphabet="ab1 -_.#/é", max_size=12)
+word_keys = st.text(alphabet="ab1 -_.#/é", min_size=1, max_size=12)
+word_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | words,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(word_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(
+    st.dictionaries(word_keys, word_documents, min_size=1, max_size=4)
+    | st.lists(word_documents, min_size=1, max_size=4)
+)
+@settings(max_examples=300, deadline=None)
+def test_line_reader_reads_block_dumps_of_plain_text(document):
+    """A block-style dump whose strings need no escape is inside the subset:
+    the line reader reads it without yaml.load, to what yaml.load gives."""
+    text = yaml.safe_dump(document, default_flow_style=False, allow_unicode=True)
+    value, error = read_subset(text)
+    assert error is None, text
+    assert repr(value) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
 
 def _value_error(text):
@@ -663,14 +727,21 @@ UNBUILDABLE = {
     text: _value_error(text)
     for text in ("2021-13-01", "2021-02-30", "0x_", "0b_", "2001-12-14t21:59:43.10-25:00")
 }
-# flow-style YAML mixing what the event builder builds with what it leaves
-# to yaml.load: anchors, aliases, explicit tags, merge and value keys,
-# collection keys and a second document. Few distinct tokens, so keys repeat.
+# scalars the line reader builds itself or through PyYAML's resolver, and
+# what it leaves to yaml.load: anchors, aliases, tags, merge and value keys,
+# escapes, indicators and text a parser reads in more than one way. Few
+# distinct tokens, so keys repeat.
 BUILDABLE = [
-    "1", "-7", "0o17", "1_000", "0x1F", "1.5", "-.inf", "true", "No", "~", "a b", "'1'", '"x"',
-    "2001-12-14", "2001-12-14t21:59:43.10-05:00", "! 12",
+    "a", "a b", "m/s", "x, y", "é", "true", "TRUE", "tRUE", "No", "yes", "null", "~", "~x",
+    "1", "-7", "+1", "-0", "007", "08", "0o17", "1_000", "0x1F", "1:20", "1.5", "+.5", "-.5",
+    "1.", "1e5", "1.0e+5", ".inf", "-.inf", "2001-12-14", "2001-12-14t21:59:43.10-05:00",
+    "<x", "a:b", "a#b", "-a", "--", "-#", "-[x", "x]", "x[1]", "'1'", '"x"', "''", "'a #b'",
+    '"x: y"', "9" * 30, "! 12",
 ]
-RARE = [*UNBUILDABLE, "<<", "=", "!!str 5", "!!int 7", "!!timestamp 2021-13-01", "&x 3", "*x"]
+RARE = [
+    *UNBUILDABLE, "<<", "=", "!!str 5", "!!int 7", "!!timestamp 2021-13-01", "&x 3", "*x",
+    "'it''s'", '"a\\"b"', "a: b", "a #b", "-", "- x", "? x", ":x", "x:", "|", "%x", "a" * 300,
+]
 yaml_nodes = st.recursive(
     st.sampled_from(BUILDABLE * 3 + RARE),
     lambda inner: st.tuples(
@@ -682,9 +753,73 @@ yaml_nodes = st.recursive(
     ).map("".join),
     max_leaves=12,
 )
-# one text in five holds a second document
-yaml_texts = st.tuples(yaml_nodes, st.sampled_from([""] * 4 + ["\n---\n"]), yaml_nodes).map(
-    lambda parts: parts[0] + (parts[1] + parts[2] if parts[1] else "")
+SCALAR = st.sampled_from(BUILDABLE * 3 + RARE)
+
+
+@st.composite
+def block_lines(draw, depth=0, indent=0, sequence=None):
+    """A block mapping or sequence at ``indent`` as lines: values are scalars,
+    flow nodes (one-line or nested) or blocks, under mapping keys either
+    indented or not, and under "-" either compact or on lines of their own."""
+    sequence = draw(st.booleans()) if sequence is None else sequence
+    lines, pad = [], " " * indent
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["scalar", "scalar", "flow"] + ["map", "seq"] * (depth < 3)))
+        head = f"{pad}-" if sequence else f"{pad}{draw(SCALAR)}:"
+        if kind in ("scalar", "flow"):
+            lines.append(f"{head} {draw(SCALAR if kind == 'scalar' else yaml_nodes)}")
+            continue
+        if sequence and draw(st.booleans()):  # compact: the block starts on the "-" row
+            gap = draw(st.sampled_from([1, 1, 3]))
+            inner = draw(block_lines(depth + 1, indent + 1 + gap, kind == "seq"))
+            lines += [f"{head}{' ' * gap}{inner[0].lstrip(' ')}", *inner[1:]]
+            continue
+        indentless = kind == "seq" and not sequence
+        step = draw(st.sampled_from([0, 1, 2, 2, 4] if indentless else [1, 2, 4]))
+        lines += [head, *draw(block_lines(depth + 1, indent + step, kind == "seq"))]
+    return lines
+
+
+EDIT = st.tuples(
+    st.sampled_from(
+        ["comment", "trailing", "delete", "duplicate", "swap", "indent", "dedent", "insert"]
+    ),
+    st.integers(0, 99),
+    st.integers(0, 99),
+    st.sampled_from(["\t", "\r", "\ufeff", "\x85", "\x00", " ", "#", "'", '"', ": ", " #x",
+                     "&a ", "*a", "!!str ", "---", "...", "%YAML 1.1", "- "]),
+)
+
+
+def edit(lines, edits):
+    """``lines`` with comment lines, trailing comments and characters
+    inserted, lines deleted, duplicated or swapped, and indents changed."""
+    lines = list(lines)
+    for op, i, j, text in edits:
+        k = i % len(lines)
+        if op == "comment":
+            lines.insert(k, " " * (j % 6) + "# note")
+        elif op == "trailing":
+            lines[k] += " # c" if j % 2 else "   "
+        elif op == "delete" and len(lines) > 1:
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        elif op == "swap":
+            m = j % len(lines)
+            lines[k], lines[m] = lines[m], lines[k]
+        elif op == "indent":
+            lines[k] = " " + lines[k]
+        elif op == "dedent":
+            lines[k] = lines[k].removeprefix(" ")
+        elif op == "insert":
+            at = j % (len(lines[k]) + 1)
+            lines[k] = lines[k][:at] + text + lines[k][at:]
+    return lines
+
+
+block_texts = st.tuples(block_lines(), st.lists(EDIT, max_size=3), st.sampled_from(["", "\n"])).map(
+    lambda parts: "\n".join(edit(parts[0], parts[1])) + parts[2]
 )
 
 
@@ -696,28 +831,54 @@ def outcome(read):
         return None, exc
 
 
+def as_read(error):
+    """The ValueError message load_config reports for a yaml.load error."""
+    mark, problem = getattr(error, "problem_mark", None), getattr(error, "problem", None)
+    where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+    return where + (problem if mark and problem else str(error).partition("\n")[0])
+
+
 @with_libyaml
-@given(yaml_texts)
-@example("[&x 3, &x 3]")  # a repeated anchor that no alias names
-@example("{<<: {a: 1}, =: 2, [b]: 3}")
-@example("[0x_, 2021-13-01]\n---\n1")
+@given(block_texts)
+@example("a: [&x 3, &x 3]")  # a repeated anchor that no alias names
+@example("a: {<<: {a: 1}, =: 2, [b]: 3}")
+@example("a: [0x_, 2021-13-01]\nb: 0b_\n---\n1")
+@example("a:\n  x: 2021-13-01\nb: 0x_\n")  # yaml.load builds b before x
+@example("- a: 1\n  a: 2\n  b: 3\n  a: 4\n")  # last wins, in first place
 @settings(max_examples=400, deadline=None)
-def test_yaml_outside_the_event_subset_reads_as_yaml_load_reads_it(text):
-    """The same value, or the same exception class and message, as yaml.load
-    under each loader. Where every event is in the subset and yaml.load meets
-    an unbuildable scalar, the builder reports the first one, in document
-    order, at its start; yaml.load reports its ValueError without a place."""
+def test_config_text_reads_as_yaml_load_reads_it(text):
+    """A text the line reader reads gives yaml.load's value under each loader,
+    with the same types and key order. Where yaml.load meets an unbuildable
+    scalar, the reader reports the first one, in document order, at its
+    start; yaml.load reports its ValueError without a place. Any other text
+    is read by yaml.load, with its value or its error."""
+    value, error = read_subset(text)
     for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        value, error = outcome(lambda: yaml.load(text, Loader=loader))
-        got, got_error = outcome(lambda: read_yaml(loader, text))
+        expected, expected_error = outcome(lambda: yaml.load(text, Loader=loader))
         if error is None:
-            assert (repr(got), got_error) == (repr(value), None)
-        elif type(error) is ValueError and type(got_error) is yaml.constructor.ConstructorError:
-            mark = got_error.problem_mark
-            at = text.splitlines()[mark.line][mark.column:]
-            assert [got_error.problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
+            assert (repr(value), expected_error) == (repr(expected), None)
+        elif error is not OUTSIDE:
+            assert type(expected_error) is ValueError
+            place = re.fullmatch(r"line (\d+), column (\d+): (.*)", str(error))
+            line, column, problem = place.groups()
+            at = text.split("\n")[int(line) - 1][int(column) - 1 :]
+            assert [problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
         else:
-            assert (type(got_error), str(got_error)) == (type(error), str(error))
+            got, got_error = outcome(lambda: read_yaml(loader, text))
+            if expected_error is None:
+                assert (repr(got), got_error) == (repr(expected), None)
+            else:
+                assert (type(got_error), str(got_error)) == (ValueError, as_read(expected_error))
+
+
+@with_libyaml
+def test_nesting_deeper_than_the_line_reader_recurses_reads_as_yaml_load():
+    """A block nested past the interpreter's recursion limit for the line
+    reader is read by yaml.load instead of failing."""
+    text = "".join("  " * depth + f"k{depth}:\n" for depth in range(400))
+    with pytest.raises(RecursionError):
+        ncap.ingest._subset_value(text)
+    assert repr(read_yaml(yaml.CSafeLoader, text)) == repr(yaml.load(text, yaml.CSafeLoader))
 
 
 def test_loading_a_config_leaves_no_memory_behind(tmp_path):
@@ -786,8 +947,8 @@ def test_profile_config_equal_under_both_loaders(tmp_path, monkeypatch):
 
 @with_libyaml
 def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkeypatch):
-    """load_config builds the benchmark config from libyaml's events; a
-    config with an anchor is parsed once more, by yaml.load."""
+    """load_config reads the benchmark config without PyYAML's parser; a
+    config with an anchor is read once, by yaml.load with libyaml."""
     calls = []
 
     def spy(name):
@@ -801,10 +962,10 @@ def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkey
 
     spy("parse")
     spy("load")
+    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", None)
     load_config(benchmark_config_path)
-    assert calls == [("parse", yaml.CSafeLoader)]
-    calls.clear()
+    assert calls == []
     anchored = tmp_path / "c.yaml"
     anchored.write_text("features:\n  - &a {name: a, direction: more_is_better}\n")
     assert load_config(anchored).features[0].name == "a"
-    assert calls == [("parse", yaml.CSafeLoader), ("load", yaml.CSafeLoader)]
+    assert calls == [("load", yaml.CSafeLoader)]
