@@ -15,6 +15,7 @@ the cell and renormalize that platform's weights downstream.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 import re
@@ -271,23 +272,10 @@ def load_config(path: str | Path) -> EvalConfig:
     return EvalConfig(features=features, weights=weights, missing=missing, profiles=profiles)
 
 
-#: The loader yaml.load reads a config outside the line reader's subset
-#: with; None picks libyaml's when PyYAML was built with it, else the
-#: pure-Python one, when it is first needed, so that a config inside the
-#: subset imports no PyYAML.
-YAML_LOADER = None
-
-# the tags an untagged scalar may resolve to that the line reader builds; the
-# others PyYAML resolves to, merge "<<" and value "=", only yaml.load builds
-_SCALAR_TAGS = frozenset(
-    f"tag:yaml.org,2002:{name}" for name in ("null", "bool", "int", "float", "str", "timestamp")
-)
-
-
 def _yaml_value(text: str):
-    """The value yaml.load(text, Loader=YAML_LOADER) gives. A text outside the
-    line reader's subset is read by yaml.load; a YAML error becomes a
-    ValueError with its problem, after its line and column where known."""
+    """The value yaml.load gives. A text outside the line reader's subset is
+    read by yaml.load; a YAML error becomes a ValueError with its problem,
+    after its line and column where known."""
     try:
         return _subset_value(text)
     except (_Outside, RecursionError):
@@ -295,12 +283,54 @@ def _yaml_value(text: str):
     import yaml
 
     try:
-        return yaml.load(text, Loader=YAML_LOADER or getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+        return yaml.load(text, Loader=_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
     except yaml.YAMLError as exc:
         mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
         where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
         detail = problem if mark and problem else str(exc).partition("\n")[0]
         raise ValueError(f"{where}{detail}") from None
+
+
+@functools.cache
+def _loader(base):
+    """``base``, PyYAML's safe loader, failing at the start of a scalar it
+    cannot build (2021-13-01, !!bool x) and of a key repeated in one mapping."""
+    from collections.abc import Hashable
+
+    from yaml.constructor import ConstructorError
+
+    class Loader(base):
+        def __init__(self, stream):
+            super().__init__(stream)
+            self.flattened = set()
+
+        def construct_object(self, node, deep=False):
+            try:
+                return super().construct_object(node, deep)
+            except ValueError as exc:
+                raise ConstructorError(None, None, str(exc), node.start_mark) from None
+            except (KeyError, AttributeError):  # "!!bool" or "!!timestamp" on other text
+                problem = f"{node.value!r} is not a {node.tag.rpartition(':')[2]}"
+                raise ConstructorError(None, None, problem, node.start_mark) from None
+
+        def flatten_mapping(self, node):
+            # a mapping is flattened before it is built or merged, and the first
+            # time moves the keys that "<<" merges in, so its own are checked then
+            if node in self.flattened:
+                return
+            self.flattened.add(node)
+            keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
+            super().flatten_mapping(node)  # which makes a value key "=" a str
+            seen = set()
+            for key_node in keys:
+                key = self.construct_object(key_node)
+                if not isinstance(key, Hashable):  # which the constructor rejects
+                    continue
+                if key in seen:
+                    raise ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
+                seen.add(key)
+
+    return Loader
 
 
 class _Outside(Exception):
@@ -326,7 +356,7 @@ _COMMENT = re.compile(" +#")
 # parsers allow a key before its colon
 _KEY_SPAN = 200
 
-# plain scalars read without PyYAML's resolver: ints and floats as YAML 1.1
+# plain scalars the line reader builds: ints and floats as YAML 1.1
 # writes them in decimal, true/false and null in the forms it resolves
 _INT = re.compile(r"[-+]?(?:0|[1-9][0-9]{0,17})")
 _FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
@@ -335,10 +365,11 @@ _WORDS = {
     **dict.fromkeys(("false", "False", "FALSE"), False),
     **dict.fromkeys(("null", "Null", "NULL", "~"), None),
 }
-# a plain scalar not in _WORDS is text unless it starts with a character
-# that keys one of PyYAML's resolvers for numbers, timestamps, "<<" and "=",
-# or is one of YAML 1.1's other booleans; those get PyYAML's tag and value
+# a plain scalar not in _WORDS is text unless it is another YAML 1.1 boolean,
+# or starts with a character that keys PyYAML's resolvers for numbers, dates,
+# "<<" and "=" and matches _NOT_TEXT, a superset of what they resolve
 _RESOLVED = frozenset("-+.0123456789<=")
+_NOT_TEXT = re.compile(r"[-+]?(?:0[bx][0-9a-fA-F_]*|\.[iInN][nNaA][fFnN]|[0-9_.:eE+\-tTZ ]*)|<<|=")
 _YAML11_BOOLS = frozenset(
     ("yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF")
 )
@@ -348,45 +379,34 @@ def _subset_value(text: str):
     """The value yaml.load gives a text in the line reader's subset: block
     mappings and sequences (including "- key: value" entries), one-line flow
     mappings and sequences of scalars, plain and quoted scalars without
-    escapes or line breaks, and comments. Raises _Outside for any other text,
-    and ValueError, at its line and column, for the first plain scalar that
-    YAML resolves but cannot build (2021-13-01), once the text has been read."""
+    escapes or line breaks, and comments, with no key repeated in a mapping.
+    Raises _Outside for any other text."""
     # a document start or end marker sends the text to yaml.load, and so does
     # a character Python does not print: a tab, a line break other than "\n",
     # a byte-order mark, a surrogate and every character PyYAML refuses
-    if text.startswith(("---", "...")) or "\n---" in text or "\n..." in text:
-        raise _Outside
-    if not text.replace("\n", "").isprintable():
+    marker = text.startswith(("---", "...")) or "\n---" in text or "\n..." in text
+    if marker or not text.replace("\n", "").isprintable():
         raise _Outside
     reader = _LineReader(text)
     value = None if reader.row is None else reader.block(reader.row[0])
     if reader.row is not None:
         raise _Outside
-    if reader.error:
-        raise ValueError(reader.error)
     return value
 
 
 class _LineReader:
     """One pass of the line reader over a text, a row at a time: ``row`` is
-    the current row (None past the last) and ``at`` its index. An indent is
-    its run of spaces; such runs compare as their lengths do. Nothing
-    outlives the pass."""
+    the current row (None past the last). An indent is its run of spaces;
+    such runs compare as their lengths do. Nothing outlives the pass."""
 
     def __init__(self, text: str):
-        self.text, self.at, self.error, self.build = text, 0, None, None
-        self.keys = {}  # each plain key read as text, so that a repeated key is one object
+        self.keys = {}  # each plain key read as text, so that a key met again is one object
         self.rows = map(re.Match.groups, _ROW.finditer(text))
         self.row = next(self.rows, None)
 
-    def advance(self):
-        self.row, self.at = next(self.rows, None), self.at + 1
-
     def block(self, indent: str):
         """The block node whose first row, the current one, sits at ``indent``."""
-        if self.row[1]:
-            return self.sequence(indent)
-        return self.mapping(indent)
+        return self.sequence(indent) if self.row[1] else self.mapping(indent)
 
     def nested(self, indent: str, indentless: bool):
         """The value of an entry at ``indent`` with nothing after its indicator:
@@ -410,12 +430,9 @@ class _LineReader:
                 self.row = (column, inner, key, colon, rest)
                 items.append(self.block(column))
                 continue
-            if rest and rest[0] != "#":
-                items.append(self.inline(rest, len(column)))
-                self.advance()
-            else:
-                self.advance()
-                items.append(self.nested(indent, False))
+            self.row = next(self.rows, None)
+            on_row = rest and rest[0] != "#"  # a value, not a comment, after the "-"
+            items.append(self.inline(rest) if on_row else self.nested(indent, False))
         return items
 
     def mapping(self, indent: str) -> dict:
@@ -426,7 +443,6 @@ class _LineReader:
                 break
             if dashes or not key or key[-1] == " " or len(key) > _KEY_SPAN:
                 raise _Outside
-            column = len(indent) + len(key) + len(colon)
             if key[0] == "'" or key[0] == '"':
                 key = key[1:-1]
             elif key in self.keys:
@@ -434,20 +450,18 @@ class _LineReader:
             elif " #" in key:  # a comment, not a key
                 raise _Outside
             else:
-                text, key = key, self.scalar(key, len(indent))
+                text, key = key, self.scalar(key)
                 if type(key) is str:
                     self.keys[text] = key
-            if rest and rest[0] != "#":
-                out[key] = self.inline(rest, column)
-                self.advance()
-            else:
-                self.advance()
-                out[key] = self.nested(indent, True)
+            if key in out:
+                raise _Outside
+            self.row = next(self.rows, None)
+            out[key] = self.inline(rest) if rest and rest[0] != "#" else self.nested(indent, True)
         return out
 
-    def inline(self, text: str, column: int):
-        """The scalar or one-line flow collection that ``text`` (the rest of the
-        row, from ``column`` on) holds, with at most a trailing comment."""
+    def inline(self, text: str):
+        """The scalar or one-line flow collection that ``text``, the rest of
+        the row, holds, with at most a trailing comment."""
         text = text.rstrip(" ")
         first = text[0]
         if first == "'" or first == '"':
@@ -456,15 +470,15 @@ class _LineReader:
                 raise _Outside
             return match[1][1:-1]
         if first == "[" or first == "{":
-            return self.flow(text, column)
+            return self.flow(text)
         if first in _INDICATORS and (first != "-" or text[1:2] in _AFTER_DASH):
             raise _Outside
         text = text.partition(" #")[0].rstrip(" ")
         if ": " in text or text[-1] == ":":
             raise _Outside
-        return self.scalar(text, column)
+        return self.scalar(text)
 
-    def flow(self, text: str, column: int):
+    def flow(self, text: str):
         """The one-line flow sequence or mapping of scalars that ``text`` holds."""
         mapping = text[0] == "{"
         close, items = ("}", {}) if mapping else ("]", [])
@@ -474,14 +488,14 @@ class _LineReader:
         else:
             while True:
                 start = at
-                value, at = self.flow_scalar(text, at, column)
+                value, at = self.flow_scalar(text, at)
                 if mapping:
-                    if not text.startswith(": ", at) or at - start > _KEY_SPAN:
+                    if not text.startswith(": ", at) or at - start > _KEY_SPAN or value in items:
                         raise _Outside
                     key, at = value, _SPACES.match(text, at + 2).end()
                     value = None
                     if text[at : at + 1] not in (",", "}"):
-                        value, at = self.flow_scalar(text, at, column)
+                        value, at = self.flow_scalar(text, at)
                     items[key] = value
                 else:
                     items.append(value)
@@ -495,18 +509,17 @@ class _LineReader:
             raise _Outside
         return items
 
-    def flow_scalar(self, text: str, at: int, column: int):
+    def flow_scalar(self, text: str, at: int):
         """The scalar at text[at] inside a flow collection, and where the next token starts."""
         match = _FLOW_SCALAR.match(text, at)
         if match is None:
             raise _Outside
         quoted, plain = match.groups()
-        value = quoted[1:-1] if quoted else self.scalar(plain.rstrip(" "), column + at)
+        value = quoted[1:-1] if quoted else self.scalar(plain.rstrip(" "))
         return value, _SPACES.match(text, match.end()).end()
 
-    def scalar(self, text: str, column: int):
-        """A plain scalar's value, as PyYAML resolves and builds it, for a
-        scalar at ``column`` of the current row."""
+    def scalar(self, text: str):
+        """A plain scalar's value as PyYAML builds it, or _Outside to leave it to yaml.load."""
         if text in _WORDS:
             return _WORDS[text]
         if text[0] not in _RESOLVED and text not in _YAML11_BOOLS:
@@ -515,24 +528,9 @@ class _LineReader:
             return int(text)
         if _FLOAT.fullmatch(text):
             return float(text)
-        # any other: PyYAML's Resolver gives its tag, SafeConstructor its value
-        if self.build is None:
-            from yaml.constructor import SafeConstructor
-            from yaml.nodes import ScalarNode
-            from yaml.resolver import Resolver
-
-            self.build = Resolver().resolve, SafeConstructor(), ScalarNode
-        resolve, constructor, scalar_node = self.build
-        tag = resolve(scalar_node, text, (True, False))
-        if tag not in _SCALAR_TAGS:
+        if text in _YAML11_BOOLS or _NOT_TEXT.fullmatch(text):
             raise _Outside
-        try:
-            return constructor.yaml_constructors[tag](constructor, scalar_node(tag, text))
-        except ValueError as exc:
-            if self.error is None:
-                lines = [n for n, line in enumerate(self.text.split("\n")) if _ROW.match(line)]
-                self.error = f"line {lines[self.at] + 1}, column {column + 1}: {exc}"
-            return None
+        return text
 
 
 def _utf8(key, what: str) -> str:

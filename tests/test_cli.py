@@ -12,7 +12,7 @@ import pytest
 import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-import ncap.ingest
+import ncap
 from ncap.cli import main
 
 from golden import (
@@ -718,8 +718,8 @@ def _compare_matrix_without_config(tmp_path, matrix, config):
     return ["compare", "--matrix", str(matrix)]
 
 
-# scalars YAML resolves to a date or a number that Python cannot build; the
-# last one, explicitly tagged, is built by yaml.load rather than the line reader
+# scalars YAML resolves to a date or a number that Python cannot build, all
+# of which yaml.load builds
 UNBUILDABLE_SCALARS = {
     "impossible_month": "    unit: 2021-13-01\n",
     "impossible_day": "    unit: 2021-02-30\n",
@@ -818,7 +818,7 @@ def test_failure_is_one_error_line(
     tmp_path, capsys, monkeypatch, benchmark_matrix_path, benchmark_config_path, make_argv, error
 ):
     if hasattr(make_argv, "loader"):
-        monkeypatch.setattr(ncap.ingest, "YAML_LOADER", make_argv.loader)
+        use_loader(monkeypatch, make_argv.loader)
     argv = make_argv(tmp_path, benchmark_matrix_path, benchmark_config_path)
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -867,6 +867,13 @@ def test_rejected_input_names_its_cause(tmp_path, capsys, make_argv, detail):
     assert err.startswith("error: FormatError: ") and err.endswith(f"{detail}\n")
 
 
+def use_loader(monkeypatch, loader):
+    """Make ``loader`` the base of the loader that yaml.load reads configs
+    with: PyYAML's pure loader is used where yaml has no CSafeLoader."""
+    if loader is yaml.SafeLoader:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
 YAML_LOADERS = [
     pytest.param(yaml.SafeLoader, id="pure"),
     pytest.param(
@@ -879,7 +886,7 @@ YAML_LOADERS = [
 
 @pytest.mark.parametrize("loader", YAML_LOADERS)
 def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, loader):
-    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    use_loader(monkeypatch, loader)
     argv = _bad_yaml(tmp_path, None, None)
     code, _, err = run(capsys, "level", "--config", argv[-1])
     assert code == 1
@@ -889,23 +896,67 @@ def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS)
 def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, loader):
-    """A scalar the line reader reads, in a block or a one-line flow, is
-    reported at its start; one that yaml.load builds (an explicit tag or a
-    nested flow collection sends the text there) without one."""
-    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    """A scalar that cannot be built is reported at its start, in a block,
+    a one-line flow, with an explicit tag or in a nested flow collection.
+    So is text tagged as a bool or timestamp, on which PyYAML's constructors
+    raise a KeyError or an AttributeError."""
+    use_loader(monkeypatch, loader)
     path = tmp_path / "c.yaml"
-    for unit, where in (
-        ("2021-13-01", "line 3, column 11: "),
-        ("[m, 2021-13-01]", "line 3, column 15: "),
-        ("!!timestamp 2021-13-01", ""),
-        ("[[2021-13-01]]", ""),
+    month = "month must be in 1..12"
+    for unit, detail in (
+        ("2021-13-01", f"line 3, column 11: {month}"),
+        ("[m, 2021-13-01]", f"line 3, column 15: {month}"),
+        ("!!timestamp 2021-13-01", f"line 3, column 11: {month}"),
+        ("[[2021-13-01]]", f"line 3, column 13: {month}"),
+        ("!!bool abc", "line 3, column 11: 'abc' is not a bool"),
+        ("!!timestamp abc", "line 3, column 11: 'abc' is not a timestamp"),
     ):
         path.write_text(f"features:\n  - name: a\n    unit: {unit}\n")
         code, out, err = run(capsys, "level", "--config", str(path))
         assert (code, out) == (1, "")
-        assert err == (
-            f"error: ConfigError: cannot parse config {path}: {where}month must be in 1..12\n"
-        )
+        assert err == f"error: ConfigError: cannot parse config {path}: {detail}\n"
+
+
+FEATURE = "features:\n  - name: a\n    direction: more_is_better\n"
+PROFILE = "modeling: true, planning: true, execution: true"
+
+
+@pytest.mark.parametrize("loader", YAML_LOADERS)
+@pytest.mark.parametrize(
+    "config,detail",
+    [
+        (
+            FEATURE + "    direction: less_is_better\n",
+            "line 4, column 5: repeated key 'direction'",
+        ),
+        (
+            "features:\n  - {name: a, direction: more_is_better, direction: less_is_better}\n",
+            "line 2, column 42: repeated key 'direction'",
+        ),
+        (
+            FEATURE + "profiles:\n  p:\n    modeling: true\n    planning: true\n"
+            "    execution: true\n  p:\n    modeling: false\n    planning: false\n"
+            "    execution: false\n",
+            "line 9, column 3: repeated key 'p'",
+        ),
+        (
+            FEATURE + f"profiles: {{p: {{{PROFILE}}}, p: {{{PROFILE}}}}}\n",
+            "line 4, column 66: repeated key 'p'",
+        ),
+    ],
+    ids=["direction_block", "direction_flow", "profile_block", "profile_flow"],
+)
+def test_repeated_config_key_names_its_position(
+    tmp_path, capsys, monkeypatch, loader, config, detail
+):
+    """A key given twice in one mapping is rejected at its second place,
+    not read as its last value."""
+    use_loader(monkeypatch, loader)
+    path = tmp_path / "c.yaml"
+    path.write_text(config)
+    code, out, err = run(capsys, "level", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: ConfigError: cannot parse config {path}: {detail}\n"
 
 
 @pytest.mark.parametrize("loader", YAML_LOADERS)
@@ -923,7 +974,7 @@ def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, lo
     ids=["profile_key", "feature_name", "evidence_note"],
 )
 def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, loader, config):
-    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
+    use_loader(monkeypatch, loader)
     path = tmp_path / "c.yaml"
     path.write_text(config, encoding="utf-8")
     code, out, err = run(capsys, "level", "--config", str(path), "--format", "csv")

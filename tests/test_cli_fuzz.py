@@ -112,8 +112,8 @@ def test_mutated_matrix_keeps_the_error_contract(
                 json.loads(line, parse_constant=reject_constant)
 
 
-# values and characters that stay inside the line reader's subset, take
-# PyYAML's resolver, or send the whole config to yaml.load
+# values and characters that stay inside the line reader's subset or send
+# the whole config to yaml.load
 CONFIG_VALUES = ["yes", "0o17", "1_000", ".inf", "1:20", "2021-01-01", "2021-13-01", "0x_",
                  "2001-12-14t21:59:43.10-05:00", "&a mean", "*a", "!!str 5", "~", "''", "'q'",
                  '"q"', "true", "-1", "1.5", "1e5", "[a, b]", "{x: 1}", "[[x]]", "|", ""]
@@ -124,7 +124,6 @@ CONFIG_EDITS = st.one_of(
     st.tuples(st.just("value"), AT, st.sampled_from(CONFIG_VALUES)),
     st.tuples(st.just("insert"), AT, AT, st.sampled_from(CONFIG_CHARS)),
 )
-POSITION = re.compile(r"line \d+, column \d+: ")
 
 
 def mutate_config(text, edits):
@@ -182,12 +181,6 @@ def test_mutated_config_reads_as_yaml_load_reads_it(
             patch.setattr(ncap.ingest, "_subset_value", read_by_yaml_load)
             loaded = run(argv)
         assert code in (0, 1, 2)
-        assert (code, out) == loaded[:2]
+        assert (code, out, err) == loaded
         if code == 1:
-            assert out == b"" and ERROR_LINE.fullmatch(err) and ERROR_LINE.fullmatch(loaded[2])
-        if err != loaded[2]:
-            # the line reader names the first unbuildable scalar at its place;
-            # yaml.load names one without a place, not always the same one
-            prefix = f"error: ConfigError: cannot parse config {config}: "
-            assert err.startswith(prefix) and loaded[2].startswith(prefix)
-            assert POSITION.match(err, len(prefix)) and not POSITION.match(loaded[2], len(prefix))
+            assert out == b"" and ERROR_LINE.fullmatch(err)

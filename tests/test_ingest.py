@@ -4,6 +4,7 @@ import io
 import math
 import re
 import tracemalloc
+from collections.abc import Hashable
 from pathlib import Path
 
 import pytest
@@ -654,11 +655,18 @@ documents = st.recursive(
 )
 
 
+def use_loader(monkeypatch, loader):
+    """Make ``loader`` the base of the loader that yaml.load reads configs
+    with: PyYAML's pure loader is used where yaml has no CSafeLoader."""
+    if loader is yaml.SafeLoader:
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
 def read_yaml(loader, text):
     """The value load_config reads from ``text``, with ``loader`` as the
-    loader of yaml.load, which reads what the line reader leaves."""
+    base of yaml.load's loader, which reads what the line reader leaves."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ncap.ingest, "YAML_LOADER", loader)
+        use_loader(patch, loader)
         return ncap.ingest._yaml_value(text)
 
 
@@ -666,14 +674,12 @@ OUTSIDE = "outside the line reader's subset"
 
 
 def read_subset(text):
-    """(value, None) of the line reader alone, (None, its ValueError), or
-    (None, OUTSIDE) for a text it leaves to yaml.load."""
+    """(value, None) of the line reader alone, or (None, OUTSIDE) for a
+    text it leaves to yaml.load."""
     try:
         return ncap.ingest._subset_value(text), None
     except ncap.ingest._Outside:
         return None, OUTSIDE
-    except ValueError as exc:
-        return None, exc
 
 
 @with_libyaml
@@ -692,10 +698,17 @@ def test_libyaml_loads_what_the_pure_loader_loads(document, flow):
     assert (repr(value), error) in ((repr(expected), None), ("None", OUTSIDE))
 
 
-words = st.text(alphabet="ab1 -_.#/é", max_size=12)
-word_keys = st.text(alphabet="ab1 -_.#/é", min_size=1, max_size=12)
+# text that does not start like a number, ints of at most 18 digits and
+# finite floats: the plain scalars yaml.safe_dump writes for them are ones
+# the line reader builds
+words = st.text(alphabet="ab1 -_.#/é", max_size=12).filter(lambda w: w[:1] not in ("1", "-", "."))
+word_keys = words.filter(bool)
 word_documents = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | words,
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**18) + 1, 10**18 - 1)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | words,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(word_keys, inner, max_size=4),
     max_leaves=20,
 )
@@ -707,8 +720,9 @@ word_documents = st.recursive(
 )
 @settings(max_examples=300, deadline=None)
 def test_line_reader_reads_block_dumps_of_plain_text(document):
-    """A block-style dump whose strings need no escape is inside the subset:
-    the line reader reads it without yaml.load, to what yaml.load gives."""
+    """A block-style dump of words, decimal numbers, booleans and nulls is
+    inside the subset: the line reader reads it without yaml.load, to what
+    yaml.load gives."""
     text = yaml.safe_dump(document, default_flow_style=False, allow_unicode=True)
     value, error = read_subset(text)
     assert error is None, text
@@ -727,10 +741,10 @@ UNBUILDABLE = {
     text: _value_error(text)
     for text in ("2021-13-01", "2021-02-30", "0x_", "0b_", "2001-12-14t21:59:43.10-25:00")
 }
-# scalars the line reader builds itself or through PyYAML's resolver, and
-# what it leaves to yaml.load: anchors, aliases, tags, merge and value keys,
-# escapes, indicators and text a parser reads in more than one way. Few
-# distinct tokens, so keys repeat.
+# scalars the line reader builds, and what it leaves to yaml.load: plain
+# scalars it does not build (yes, 1_000, 1:20, timestamps), anchors,
+# aliases, tags, merge and value keys, escapes, indicators and text a
+# parser reads in more than one way. Few distinct tokens, so keys repeat.
 BUILDABLE = [
     "a", "a b", "m/s", "x, y", "é", "true", "TRUE", "tRUE", "No", "yes", "null", "~", "~x",
     "1", "-7", "+1", "-0", "007", "08", "0o17", "1_000", "0x1F", "1:20", "1.5", "+.5", "-.5",
@@ -823,11 +837,15 @@ block_texts = st.tuples(block_lines(), st.lists(EDIT, max_size=3), st.sampled_fr
 )
 
 
+# a YAMLError, or an error PyYAML's constructors raise for text they cannot build
+YAML_ERRORS = (yaml.YAMLError, ValueError, KeyError, AttributeError)
+
+
 def outcome(read):
-    """(value, None) or (None, the YAMLError or ValueError) of read()."""
+    """(value, None) or (None, its error) of read(), for YAML_ERRORS."""
     try:
         return read(), None
-    except (yaml.YAMLError, ValueError) as exc:
+    except YAML_ERRORS as exc:
         return None, exc
 
 
@@ -838,37 +856,99 @@ def as_read(error):
     return where + (problem if mark and problem else str(error).partition("\n")[0])
 
 
+MERGE = "tag:yaml.org,2002:merge"
+PLACE = re.compile(r"line (\d+), column (\d+): (.*)")
+YAML_LINES = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
+
+
+def repeats_a_key(loader, text):
+    """Whether one mapping node of ``text`` holds two equal keys, those a
+    merge key ``<<`` brings in aside, with each key built on its own. A key
+    that cannot be built, or is a list or mapping, equals no other."""
+
+    def build(node):
+        if node.tag == "tag:yaml.org,2002:value":  # "=" as a key is text
+            return "="
+        try:
+            return loader("").construct_document(node)
+        except YAML_ERRORS:
+            return []
+
+    todo, walked = [yaml.compose(text, Loader=loader)], set()
+    while todo:
+        node = todo.pop()
+        if node is None or id(node) in walked:
+            continue
+        walked.add(id(node))
+        if isinstance(node, yaml.MappingNode):
+            keys = [build(key) for key, _ in node.value if key.tag != MERGE]
+            keys = [key for key in keys if isinstance(key, Hashable)]
+            if len(set(keys)) < len(keys):
+                return True
+            todo += [part for pair in node.value for part in pair]
+        elif isinstance(node, yaml.SequenceNode):
+            todo += node.value
+    return False
+
+
+def names_an_unbuildable_scalar(text, message):
+    """Whether ``message`` is ``line L, column C: <problem>`` for a scalar
+    of UNBUILDABLE, after any anchor or tag, that starts at L, C, counting
+    as YAML does: lines at each of its line breaks, and columns after a
+    byte-order mark that starts the text."""
+    line, column, problem = PLACE.fullmatch(message).groups()
+    at = YAML_LINES.split(text.removeprefix("\ufeff"))[int(line) - 1][int(column) - 1 :]
+    at = re.sub(r"^(?:&\w+[ \t]+|!!timestamp[ \t]+)*", "", at)
+    return [problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
+
+
 @with_libyaml
 @given(block_texts)
 @example("a: [&x 3, &x 3]")  # a repeated anchor that no alias names
 @example("a: {<<: {a: 1}, =: 2, [b]: 3}")
 @example("a: [0x_, 2021-13-01]\nb: 0b_\n---\n1")
 @example("a:\n  x: 2021-13-01\nb: 0x_\n")  # yaml.load builds b before x
-@example("- a: 1\n  a: 2\n  b: 3\n  a: 4\n")  # last wins, in first place
+@example("- a: 1\n  a: 2\n  b: 3\n  a: 4\n")
+@example("a: {x: 1, y: 2, 'x': 3}")
+@example("a: {1: x, 1.0: y}\n")
+@example("b: &b {x: 1}\nc: {<<: *b, x: 2}\n")  # a key may override a merged one
+@example("b: &b {x: 1}\na:\n  k:\n    c: &c {<<: *b, x: 2}\nd: {<<: *c}\n")
+@example("a: {<<: {x: 1, x: 2}}\n")
+@example("? x:\n  ? x: a\na: a\na: a")  # keys first: a repeated key before an unhashable one
+@example("\ra: 2021-13-01")  # "\r" breaks a line
+@example("\ufeff- 2021-13-01")
+@example("!!timestamp\t 2021-13-01: a")
+@example("a: [!!timestamp 2\t021-13-01]")  # libyaml reads a plain scalar with a tab
+@example("!!timestamp 2\t021-13-01: a")
 @settings(max_examples=400, deadline=None)
 def test_config_text_reads_as_yaml_load_reads_it(text):
-    """A text the line reader reads gives yaml.load's value under each loader,
-    with the same types and key order. Where yaml.load meets an unbuildable
-    scalar, the reader reports the first one, in document order, at its
-    start; yaml.load reports its ValueError without a place. Any other text
-    is read by yaml.load, with its value or its error."""
+    """A text without a repeated key gives yaml.load's value under each
+    loader, with the same types and key order, where yaml.load gives one;
+    the line reader reads a text only then. Every other text fails: where
+    yaml.load cannot read its nodes, with yaml.load's error, and otherwise
+    at a line and column: a repeated key there is one, and a scalar that
+    cannot be built starts there. yaml.load builds keys and values in
+    another order, so it may meet another error first."""
     value, error = read_subset(text)
     for loader in (yaml.SafeLoader, yaml.CSafeLoader):
         expected, expected_error = outcome(lambda: yaml.load(text, Loader=loader))
+        repeats, compose_error = outcome(lambda: repeats_a_key(loader, text))
+        got, got_error = outcome(lambda: read_yaml(loader, text))
         if error is None:
-            assert (repr(value), expected_error) == (repr(expected), None)
-        elif error is not OUTSIDE:
-            assert type(expected_error) is ValueError
-            place = re.fullmatch(r"line (\d+), column (\d+): (.*)", str(error))
-            line, column, problem = place.groups()
-            at = text.split("\n")[int(line) - 1][int(column) - 1 :]
-            assert [problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
-        else:
-            got, got_error = outcome(lambda: read_yaml(loader, text))
-            if expected_error is None:
-                assert (repr(got), got_error) == (repr(expected), None)
-            else:
-                assert (type(got_error), str(got_error)) == (ValueError, as_read(expected_error))
+            assert (repr(value), expected_error, repeats) == (repr(expected), None, False)
+        if expected_error is None and not repeats:
+            assert (repr(got), got_error) == (repr(expected), None)
+            continue
+        assert type(got_error) is ValueError
+        message = str(got_error)
+        if compose_error is not None:
+            assert message == as_read(compose_error)
+            continue
+        problem = PLACE.fullmatch(message)[3]
+        if problem.startswith("repeated key "):
+            assert repeats
+        elif problem in UNBUILDABLE.values():
+            assert names_an_unbuildable_scalar(text, message)
 
 
 @with_libyaml
@@ -907,8 +987,9 @@ def test_loading_a_config_leaves_no_memory_behind(tmp_path):
 
 
 def load_with(loader, path, monkeypatch):
-    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", loader)
-    return load_config(path)
+    with monkeypatch.context() as patch:
+        use_loader(patch, loader)
+        return load_config(path)
 
 
 @with_libyaml
@@ -948,7 +1029,7 @@ def test_profile_config_equal_under_both_loaders(tmp_path, monkeypatch):
 @with_libyaml
 def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkeypatch):
     """load_config reads the benchmark config without PyYAML's parser; a
-    config with an anchor is read once, by yaml.load with libyaml."""
+    config with an anchor is read once, by yaml.load on libyaml's loader."""
     calls = []
 
     def spy(name):
@@ -962,10 +1043,11 @@ def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkey
 
     spy("parse")
     spy("load")
-    monkeypatch.setattr(ncap.ingest, "YAML_LOADER", None)
     load_config(benchmark_config_path)
     assert calls == []
     anchored = tmp_path / "c.yaml"
     anchored.write_text("features:\n  - &a {name: a, direction: more_is_better}\n")
     assert load_config(anchored).features[0].name == "a"
-    assert calls == [("load", yaml.CSafeLoader)]
+    assert [(name, issubclass(loader, yaml.CSafeLoader)) for name, loader in calls] == [
+        ("load", True)
+    ]
