@@ -274,35 +274,51 @@ def load_config(path: str | Path) -> EvalConfig:
 
 def _yaml_value(text: str):
     """The value yaml.load gives. A text outside the line reader's subset is
-    read by yaml.load; a YAML error becomes a ValueError with its problem,
-    after its line and column where known."""
+    read by yaml.load; a YAML error becomes a ValueError with its line,
+    column and problem, and nesting too deep to read one without a place."""
     try:
-        return _subset_value(text)
-    except (_Outside, RecursionError):
-        pass
+        try:
+            return _subset_value(text)
+        except _Outside:
+            return _yaml_load(text)
+    except RecursionError:  # a valid config nests four collections deep at most
+        raise ValueError("collections nest too deeply") from None
+
+
+def _yaml_load(text: str):
     import yaml
 
     try:
-        return yaml.load(text, Loader=_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)))
-    except yaml.YAMLError as exc:
-        mark, problem = getattr(exc, "problem_mark", None), getattr(exc, "problem", None)
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-        detail = problem if mark and problem else str(exc).partition("\n")[0]
-        raise ValueError(f"{where}{detail}") from None
+        return yaml.load(text, Loader=_loader())
+    except yaml.MarkedYAMLError as exc:
+        mark = exc.problem_mark
+        raise ValueError(f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}") from None
 
 
 @functools.cache
-def _loader(base):
-    """``base``, PyYAML's safe loader, failing at the start of a scalar it
-    cannot build (2021-13-01, !!bool x) and of a key repeated in one mapping."""
+def _loader():
+    """PyYAML's pure-Python safe loader, failing at the start of a scalar it
+    cannot build (2021-13-01, !!bool x), of a key repeated in one mapping and
+    at a character YAML does not accept."""
     from collections.abc import Hashable
 
+    from yaml import MarkedYAMLError, SafeLoader
     from yaml.constructor import ConstructorError
+    from yaml.reader import ReaderError
 
-    class Loader(base):
+    class Loader(SafeLoader):
         def __init__(self, stream):
             super().__init__(stream)
             self.flattened = set()
+
+        def check_printable(self, data):
+            try:
+                super().check_printable(data)
+            except ReaderError as exc:  # which has no mark: move the reader to it
+                self.buffer = data + "\0"
+                self.forward(exc.position)
+                problem = str(exc).partition("\n")[0]
+                raise MarkedYAMLError(None, None, problem, self.get_mark()) from None
 
         def construct_object(self, node, deep=False):
             try:

@@ -446,6 +446,57 @@ def test_table_bytes_do_not_depend_on_a_terminal(
     assert out.encode("utf-8") == plain.read_bytes()
 
 
+def in_other_units(tmp_path, matrix_path, config_path):
+    """The bundled matrix and config with both resolutions in megapixels,
+    weight in kg and range in km."""
+    config = yaml.safe_load(config_path.read_text("utf-8"))
+    for spec in config["features"]:
+        if spec["name"] in ("stream_resolution", "thermal_resolution"):
+            spec["encoding"] = {token: n / 1e6 for token, n in spec["encoding"].items()}
+    rows = list(csv.reader(io.StringIO(matrix_path.read_text("utf-8"))))
+    for j in (rows[0].index("weight_g"), rows[0].index("max_range_m")):
+        for row in rows[1:]:
+            row[j] = repr(float(row[j]) / 1000)
+    matrix, scaled = tmp_path / "m.csv", tmp_path / "c.yaml"
+    matrix.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    scaled.write_text(yaml.safe_dump(config, allow_unicode=True), encoding="utf-8")
+    return matrix, scaled
+
+
+@pytest.mark.parametrize(
+    "weights,product",
+    [
+        ("uniform", [("EFDGCAB", "23.52"), ("EDAFGCB", "1.48")]),
+        ("config", [("EFDCBGA", "60.06"), ("EDFACBG", "3.79")]),
+    ],
+)
+def test_product_distance_order_depends_on_units(
+    tmp_path, capsys, benchmark_matrix_path, benchmark_config_path, weights, product
+):
+    """The product's score carries the features' units, and so does its
+    autonomy coordinate: new units reorder the product's absolute distances
+    and move UAS A's relative distance, and leave the order of max as it
+    is. Each pair is the platforms by absolute distance, largest first, and
+    UAS A's relative distance: in the config's units, then in the others."""
+    found = {"max": [], "product": []}
+    for matrix, config in (
+        (benchmark_matrix_path, benchmark_config_path),
+        in_other_units(tmp_path, benchmark_matrix_path, benchmark_config_path),
+    ):
+        code, out, err = run(capsys, "distance", "--matrix", str(matrix), "--config", str(config),
+                             "--missing", "mean", "--weights", weights,
+                             "--methods", "max,product", "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        for method, pairs in found.items():
+            mine = [row for row in rows if row["method"] == method]
+            mine.sort(key=lambda row: -float(row["absolute"]))
+            relative = next(row["relative"] for row in mine if row["platform"] == "UAS A")
+            pairs.append(("".join(row["platform"][-1] for row in mine), f"{float(relative):.2f}"))
+    assert found["product"] == product
+    assert found["max"][0][0] == found["max"][1][0]
+
+
 @pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
 def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
     config = tmp_path / "c.yaml"
@@ -733,28 +784,33 @@ UNBUILDABLE_SCALARS = {
 }
 
 
-def _unbuildable(name, text, loader_id, loader):
-    """A make_argv for level over a config holding ``text``, read by ``loader``."""
+def _unbuildable(name, text, install):
+    """A make_argv for level over a config holding ``text``, on ``install``."""
 
     def make_argv(tmp_path, matrix, config):
         path = tmp_path / "c.yaml"
         path.write_text("features:\n  - name: a\n    direction: more_is_better\n" + text)
         return ["level", "--config", str(path)]
 
-    make_argv.__name__ = f"{name}_{loader_id}"
-    make_argv.loader = loader
+    make_argv.__name__ = f"{name}_{install}"
+    make_argv.install = install
     return make_argv
 
 
+# PyYAML as built without libyaml ("pure", where yaml has no CSafeLoader)
+# and as installed ("libyaml" where it was built with it): a config reads
+# the same on both
+INSTALLS = ["pure", "libyaml"]
+
+
+def as_installed(monkeypatch, install):
+    if install == "pure":
+        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
 UNBUILDABLE_CASES = [
-    pytest.param(
-        _unbuildable(name, text, loader_id, loader),
-        "ConfigError",
-        marks=pytest.mark.skipif(loader is None, reason="no libyaml"),
-    )
-    for loader_id, loader in (
-        ("pure", yaml.SafeLoader), ("libyaml", getattr(yaml, "CSafeLoader", None))
-    )
+    (_unbuildable(name, text, install), "ConfigError")
+    for install in INSTALLS
     for name, text in UNBUILDABLE_SCALARS.items()
 ]
 
@@ -817,8 +873,8 @@ def test_mean_fill_of_a_column_whose_sum_overflows(tmp_path, capsys):
 def test_failure_is_one_error_line(
     tmp_path, capsys, monkeypatch, benchmark_matrix_path, benchmark_config_path, make_argv, error
 ):
-    if hasattr(make_argv, "loader"):
-        use_loader(monkeypatch, make_argv.loader)
+    if hasattr(make_argv, "install"):
+        as_installed(monkeypatch, make_argv.install)
     argv = make_argv(tmp_path, benchmark_matrix_path, benchmark_config_path)
     code, out, err = run(capsys, *argv)
     assert code == 1
@@ -867,26 +923,9 @@ def test_rejected_input_names_its_cause(tmp_path, capsys, make_argv, detail):
     assert err.startswith("error: FormatError: ") and err.endswith(f"{detail}\n")
 
 
-def use_loader(monkeypatch, loader):
-    """Make ``loader`` the base of the loader that yaml.load reads configs
-    with: PyYAML's pure loader is used where yaml has no CSafeLoader."""
-    if loader is yaml.SafeLoader:
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-
-
-YAML_LOADERS = [
-    pytest.param(yaml.SafeLoader, id="pure"),
-    pytest.param(
-        getattr(yaml, "CSafeLoader", None),
-        id="libyaml",
-        marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="no libyaml"),
-    ),
-]
-
-
-@pytest.mark.parametrize("loader", YAML_LOADERS)
-def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, loader):
-    use_loader(monkeypatch, loader)
+@pytest.mark.parametrize("install", INSTALLS)
+def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, install):
+    as_installed(monkeypatch, install)
     argv = _bad_yaml(tmp_path, None, None)
     code, _, err = run(capsys, "level", "--config", argv[-1])
     assert code == 1
@@ -894,13 +933,13 @@ def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, 
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("loader", YAML_LOADERS)
-def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, loader):
+@pytest.mark.parametrize("install", INSTALLS)
+def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, install):
     """A scalar that cannot be built is reported at its start, in a block,
     a one-line flow, with an explicit tag or in a nested flow collection.
     So is text tagged as a bool or timestamp, on which PyYAML's constructors
     raise a KeyError or an AttributeError."""
-    use_loader(monkeypatch, loader)
+    as_installed(monkeypatch, install)
     path = tmp_path / "c.yaml"
     month = "month must be in 1..12"
     for unit, detail in (
@@ -921,7 +960,7 @@ FEATURE = "features:\n  - name: a\n    direction: more_is_better\n"
 PROFILE = "modeling: true, planning: true, execution: true"
 
 
-@pytest.mark.parametrize("loader", YAML_LOADERS)
+@pytest.mark.parametrize("install", INSTALLS)
 @pytest.mark.parametrize(
     "config,detail",
     [
@@ -947,11 +986,11 @@ PROFILE = "modeling: true, planning: true, execution: true"
     ids=["direction_block", "direction_flow", "profile_block", "profile_flow"],
 )
 def test_repeated_config_key_names_its_position(
-    tmp_path, capsys, monkeypatch, loader, config, detail
+    tmp_path, capsys, monkeypatch, install, config, detail
 ):
     """A key given twice in one mapping is rejected at its second place,
     not read as its last value."""
-    use_loader(monkeypatch, loader)
+    as_installed(monkeypatch, install)
     path = tmp_path / "c.yaml"
     path.write_text(config)
     code, out, err = run(capsys, "level", "--config", str(path))
@@ -959,7 +998,7 @@ def test_repeated_config_key_names_its_position(
     assert err == f"error: ConfigError: cannot parse config {path}: {detail}\n"
 
 
-@pytest.mark.parametrize("loader", YAML_LOADERS)
+@pytest.mark.parametrize("install", INSTALLS)
 @pytest.mark.parametrize(
     "config",
     [
@@ -973,8 +1012,8 @@ def test_repeated_config_key_names_its_position(
     ],
     ids=["profile_key", "feature_name", "evidence_note"],
 )
-def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, loader, config):
-    use_loader(monkeypatch, loader)
+def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, install, config):
+    as_installed(monkeypatch, install)
     path = tmp_path / "c.yaml"
     path.write_text(config, encoding="utf-8")
     code, out, err = run(capsys, "level", "--config", str(path), "--format", "csv")
@@ -982,6 +1021,49 @@ def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, 
     assert out == ""
     assert err.startswith("error: ConfigError: ")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[" * 100_000,
+        "".join("  " * depth + f"k{depth}:\n" for depth in range(1000)),
+    ],
+    ids=["flow", "block"],
+)
+def test_config_nested_too_deeply_is_one_error_line(tmp_path, text):
+    """Nesting past the interpreter's recursion limit, in either reader, is
+    one error line. It runs in a child, since a reader that overflows the C
+    stack would end the test process."""
+    path = tmp_path / "c.yaml"
+    path.write_text(text)
+    done = subprocess.run(
+        [sys.executable, "-m", "ncap.cli", "level", "--config", str(path)],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (1, b"")
+    assert done.stderr.decode() == (
+        f"error: ConfigError: cannot parse config {path}: collections nest too deeply\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "tail,place",
+    [("\r\x00\n", "line 5, column 1"), ("# x\r  \x00", "line 5, column 3"),
+     ("\r\n\x85\u2028\x00", "line 7, column 1")],
+    ids=["after_cr", "in_line_after_cr", "after_crlf_nel_ls"],
+)
+def test_refused_character_names_its_place(tmp_path, capsys, tail, place):
+    """A character YAML does not accept is named at its line and column,
+    with lines counted at each YAML line break: a lone "\\r" is one."""
+    path = tmp_path / "c.yaml"
+    path.write_text(FEATURE + tail, encoding="utf-8", newline="")
+    code, out, err = run(capsys, "level", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: ConfigError: cannot parse config {path}: {place}: "
+        "unacceptable character #x0000: special characters are not allowed\n"
+    )
 
 
 def test_second_main_call_leaves_no_cyclic_garbage(

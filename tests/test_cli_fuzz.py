@@ -5,12 +5,16 @@ odd tokens, rows and columns deleted or duplicated. It then runs one
 command in one format twice, once to stdout and once with --out. Whatever
 the input, the run exits 0, 1 or 2 without a traceback; a failure is one
 "error: <Class>: <detail>" line; every jsonl line is strict JSON; and
-stdout holds the same bytes as the --out file.
+stdout holds the same bytes as the --out file. The score file that
+``score --format csv`` writes for the bundled data is mutated the same
+way and read back by --scores, and raw bytes, alone or spliced into a
+shipped file, are fed as matrix, config and --scores.
 
 Each config example mutates the bundled config, written in block style or
 with one-line flow collections, and runs level and score once as shipped
 and once with every config read by yaml.load: both runs give the same
-exit code, stdout and error line.
+exit code, stdout and error line, and a config that cannot be parsed is
+named with a line and column.
 """
 
 import contextlib
@@ -40,6 +44,7 @@ RUNS = [(command, fmt) for command in ("score", "distance", "compare")
         for fmt in ("table", "csv", "jsonl")] + [("plotdata", None)]
 
 ERROR_LINE = re.compile(r"error: \w+: [^\n]*\n")
+PLACE = re.compile(r"line [1-9][0-9]*, column [1-9][0-9]*: ")
 
 
 def mutate(text, edits):
@@ -82,23 +87,12 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("command,fmt", RUNS, ids=[f"{c}-{f or 'csv'}" for c, f in RUNS])
-@given(
-    edits=st.lists(EDITS, max_size=3),
-    missing=st.sampled_from(["mean", "exclude"]),
-    weights=st.sampled_from(["uniform", "config"]),
-)
-@settings(max_examples=40, deadline=None)
-def test_mutated_matrix_keeps_the_error_contract(
-    workdir, benchmark_matrix_path, benchmark_config_path, command, fmt, edits, missing, weights
-):
-    matrix = workdir / "matrix.csv"
-    matrix.write_bytes(mutate(benchmark_matrix_path.read_text("utf-8"), edits).encode("utf-8"))
-    target = workdir / "out.txt"
+def keeps_the_error_contract(argv, fmt, target):
+    """Run argv to stdout and then with --out ``target``, and check the
+    contract: exit 0, 1 or 2; a failure is one error line and writes
+    nothing; jsonl lines are strict JSON; stdout equals the --out file."""
+    argv = argv + (["--format", fmt] if fmt else [])
     target.unlink(missing_ok=True)
-    argv = [command, "--matrix", str(matrix), "--config", str(benchmark_config_path),
-            "--missing", missing, "--weights", weights]
-    argv += ["--format", fmt] if fmt else []
     code, out, err = run(argv)
     assert code in (0, 1, 2)
     assert run(argv + ["--out", str(target)]) == (code, b"", err)
@@ -112,12 +106,87 @@ def test_mutated_matrix_keeps_the_error_contract(
                 json.loads(line, parse_constant=reject_constant)
 
 
+@pytest.mark.parametrize("command,fmt", RUNS, ids=[f"{c}-{f or 'csv'}" for c, f in RUNS])
+@given(
+    edits=st.lists(EDITS, max_size=3),
+    missing=st.sampled_from(["mean", "exclude"]),
+    weights=st.sampled_from(["uniform", "config"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_mutated_matrix_keeps_the_error_contract(
+    workdir, benchmark_matrix_path, benchmark_config_path, command, fmt, edits, missing, weights
+):
+    matrix = workdir / "matrix.csv"
+    matrix.write_bytes(mutate(benchmark_matrix_path.read_text("utf-8"), edits).encode("utf-8"))
+    argv = [command, "--matrix", str(matrix), "--config", str(benchmark_config_path),
+            "--missing", missing, "--weights", weights]
+    keeps_the_error_contract(argv, fmt, workdir / "out.txt")
+
+
+SCORE_RUNS = [run for run in RUNS if run[0] != "score"]
+
+
+@pytest.fixture(scope="module")
+def score_csv(benchmark_matrix_path, benchmark_config_path):
+    """What ``score --format csv`` writes for the bundled data."""
+    code, out, _ = run(["score", "--matrix", str(benchmark_matrix_path),
+                        "--config", str(benchmark_config_path), "--missing", "mean",
+                        "--format", "csv"])
+    assert code == 0
+    return out.decode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "command,fmt", SCORE_RUNS, ids=[f"{c}-{f or 'csv'}" for c, f in SCORE_RUNS]
+)
+@given(edits=st.lists(EDITS, max_size=3))
+@settings(max_examples=40, deadline=None)
+def test_mutated_scores_keep_the_error_contract(
+    workdir, benchmark_config_path, score_csv, command, fmt, edits
+):
+    scores = workdir / "scores.csv"
+    scores.write_bytes(mutate(score_csv, edits).encode("utf-8"))
+    argv = [command, "--scores", str(scores), "--config", str(benchmark_config_path)]
+    keeps_the_error_contract(argv, fmt, workdir / "out.txt")
+
+
+# raw bytes, alone or spliced into the shipped file between two places
+RAW = st.binary(max_size=200) | st.tuples(st.binary(max_size=16), AT, AT)
+
+
+@pytest.mark.parametrize("role", ["matrix", "config", "scores"])
+@given(raw=RAW)
+@settings(max_examples=60, deadline=None)
+def test_raw_bytes_keep_the_error_contract(
+    workdir, benchmark_matrix_path, benchmark_config_path, score_csv, role, raw
+):
+    shipped = {"matrix": benchmark_matrix_path.read_bytes(), "scores": score_csv.encode("utf-8"),
+               "config": benchmark_config_path.read_bytes()}[role]
+    if isinstance(raw, tuple):
+        data, i, j = raw
+        i, j = sorted((len(shipped) * i // 100, len(shipped) * j // 100))
+        raw = shipped[:i] + data + shipped[j:]
+    path = workdir / f"raw-{role}"
+    path.write_bytes(raw)
+    matrix, config = str(benchmark_matrix_path), str(benchmark_config_path)
+    if role == "matrix":
+        runs = [["score", "--matrix", str(path), "--config", config, "--missing", "exclude"]]
+    elif role == "config":
+        runs = [["level", "--config", str(path)],
+                ["score", "--matrix", matrix, "--config", str(path), "--weights", "config"]]
+    else:
+        runs = [["compare", "--scores", str(path)],
+                ["distance", "--scores", str(path), "--config", config]]
+    for argv in runs:
+        keeps_the_error_contract(argv, "jsonl", workdir / "out.txt")
+
+
 # values and characters that stay inside the line reader's subset or send
 # the whole config to yaml.load
 CONFIG_VALUES = ["yes", "0o17", "1_000", ".inf", "1:20", "2021-01-01", "2021-13-01", "0x_",
                  "2001-12-14t21:59:43.10-05:00", "&a mean", "*a", "!!str 5", "~", "''", "'q'",
                  '"q"', "true", "-1", "1.5", "1e5", "[a, b]", "{x: 1}", "[[x]]", "|", ""]
-CONFIG_CHARS = ["\t", "\r", "\ufeff", " # c", "'", '"', ": ", "#", "- ", " "]
+CONFIG_CHARS = ["\t", "\r", "\x00", "\x85", "\ufeff", " # c", "'", '"', ": ", "#", "- ", " "]
 CONFIG_EDITS = st.one_of(
     st.tuples(st.sampled_from(["delete", "duplicate"]), AT),
     st.tuples(st.sampled_from(["swap", "swap_keys"]), AT, AT),
@@ -184,3 +253,6 @@ def test_mutated_config_reads_as_yaml_load_reads_it(
         assert (code, out, err) == loaded
         if code == 1:
             assert out == b"" and ERROR_LINE.fullmatch(err)
+            prefix = f"error: ConfigError: cannot parse config {config}: "
+            if err.startswith(prefix):
+                assert PLACE.match(err, len(prefix)), err

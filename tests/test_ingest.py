@@ -218,9 +218,8 @@ PROFILE = "profiles:\n  p: {modeling: true, planning: true, execution: true"
         (FEATURE_A + PROFILE.replace(" p:", " ~:") + "}\n", "profiles: key must not be null"),
         (FEATURE_A[:-2] + ", encoding: {~: 1}}\n", "'a': encoding: key must not be null"),
         (FEATURE_A + PROFILE + ", evidence: {lidar: ~}}\n", "evidence for 'lidar' must not be null"),
-        # libyaml refuses the escape as it parses; the pure loader reads it
         (FEATURE_A + PROFILE + ', evidence: {lidar: "\\ud800"}}\n',
-         r"evidence for 'lidar' '\\ud800' is not valid UTF-8|invalid Unicode character escape"),
+         r"evidence for 'lidar' '\\ud800' is not valid UTF-8"),
     ],
     ids=[
         "top_level_list", "empty_file", "no_features", "features_mapping", "entry_scalar",
@@ -634,11 +633,7 @@ def test_benchmark_roundtrip(benchmark_matrix, benchmark_config):
     assert parse_feature_matrix_text(text, benchmark_config) == benchmark_matrix
 
 
-# ------------------------------------------------------------ yaml loaders
-
-with_libyaml = pytest.mark.skipif(
-    not yaml.__with_libyaml__, reason="PyYAML is built without libyaml"
-)
+# ------------------------------------------------------------ yaml loader
 
 scalars = (
     st.none()
@@ -655,21 +650,6 @@ documents = st.recursive(
 )
 
 
-def use_loader(monkeypatch, loader):
-    """Make ``loader`` the base of the loader that yaml.load reads configs
-    with: PyYAML's pure loader is used where yaml has no CSafeLoader."""
-    if loader is yaml.SafeLoader:
-        monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-
-
-def read_yaml(loader, text):
-    """The value load_config reads from ``text``, with ``loader`` as the
-    base of yaml.load's loader, which reads what the line reader leaves."""
-    with pytest.MonkeyPatch.context() as patch:
-        use_loader(patch, loader)
-        return ncap.ingest._yaml_value(text)
-
-
 OUTSIDE = "outside the line reader's subset"
 
 
@@ -682,18 +662,15 @@ def read_subset(text):
         return None, OUTSIDE
 
 
-@with_libyaml
 @given(documents, st.booleans())
 @settings(max_examples=300, deadline=None)
-def test_libyaml_loads_what_the_pure_loader_loads(document, flow):
-    """yaml.load under each loader, load_config's read under each, and the
-    line reader wherever it reads the text give one value, with the same types
-    and key order (repr tells True from 1 and 1.0, and orders keys)."""
+def test_yaml_dumps_read_as_yaml_load_reads_them(document, flow):
+    """yaml.load, load_config's read, and the line reader wherever it reads
+    the text give one value, with the same types and key order (repr tells
+    True from 1 and 1.0, and orders keys)."""
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=True)
     expected = yaml.load(text, Loader=yaml.SafeLoader)
-    assert yaml.load(text, Loader=yaml.CSafeLoader) == expected
-    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        assert repr(read_yaml(loader, text)) == repr(expected)
+    assert repr(ncap.ingest._yaml_value(text)) == repr(expected)
     value, error = read_subset(text)
     assert (repr(value), error) in ((repr(expected), None), ("None", OUTSIDE))
 
@@ -849,11 +826,17 @@ def outcome(read):
         return None, exc
 
 
-def as_read(error):
-    """The ValueError message load_config reports for a yaml.load error."""
-    mark, problem = getattr(error, "problem_mark", None), getattr(error, "problem", None)
-    where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-    return where + (problem if mark and problem else str(error).partition("\n")[0])
+def as_read(error, text):
+    """The ValueError message load_config reports for a yaml.load error on
+    ``text``: a refused character is placed where PyYAML's reader marks a
+    space put in place of each."""
+    if isinstance(error, yaml.reader.ReaderError):
+        reader = yaml.reader.Reader(yaml.reader.Reader.NON_PRINTABLE.sub(" ", text))
+        reader.forward(error.position)
+        mark, problem = reader.get_mark(), str(error).partition("\n")[0]
+    else:
+        mark, problem = error.problem_mark, error.problem
+    return f"line {mark.line + 1}, column {mark.column + 1}: {problem}"
 
 
 MERGE = "tag:yaml.org,2002:merge"
@@ -861,7 +844,7 @@ PLACE = re.compile(r"line (\d+), column (\d+): (.*)")
 YAML_LINES = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
-def repeats_a_key(loader, text):
+def repeats_a_key(text):
     """Whether one mapping node of ``text`` holds two equal keys, those a
     merge key ``<<`` brings in aside, with each key built on its own. A key
     that cannot be built, or is a list or mapping, equals no other."""
@@ -870,11 +853,11 @@ def repeats_a_key(loader, text):
         if node.tag == "tag:yaml.org,2002:value":  # "=" as a key is text
             return "="
         try:
-            return loader("").construct_document(node)
+            return yaml.SafeLoader("").construct_document(node)
         except YAML_ERRORS:
             return []
 
-    todo, walked = [yaml.compose(text, Loader=loader)], set()
+    todo, walked = [yaml.compose(text, Loader=yaml.SafeLoader)], set()
     while todo:
         node = todo.pop()
         if node is None or id(node) in walked:
@@ -902,7 +885,6 @@ def names_an_unbuildable_scalar(text, message):
     return [problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
 
 
-@with_libyaml
 @given(block_texts)
 @example("a: [&x 3, &x 3]")  # a repeated anchor that no alias names
 @example("a: {<<: {a: 1}, =: 2, [b]: 3}")
@@ -918,47 +900,37 @@ def names_an_unbuildable_scalar(text, message):
 @example("\ra: 2021-13-01")  # "\r" breaks a line
 @example("\ufeff- 2021-13-01")
 @example("!!timestamp\t 2021-13-01: a")
-@example("a: [!!timestamp 2\t021-13-01]")  # libyaml reads a plain scalar with a tab
+@example("a: [!!timestamp 2\t021-13-01]")  # a tab inside a plain scalar
 @example("!!timestamp 2\t021-13-01: a")
+@example("\x00- No\n\x00- No")  # two refused characters
 @settings(max_examples=400, deadline=None)
 def test_config_text_reads_as_yaml_load_reads_it(text):
-    """A text without a repeated key gives yaml.load's value under each
-    loader, with the same types and key order, where yaml.load gives one;
-    the line reader reads a text only then. Every other text fails: where
+    """A text without a repeated key gives yaml.load's value, with the same
+    types and key order, where yaml.load gives one; the line reader reads a
+    text only then. Every other text fails at a line and column: where
     yaml.load cannot read its nodes, with yaml.load's error, and otherwise
-    at a line and column: a repeated key there is one, and a scalar that
-    cannot be built starts there. yaml.load builds keys and values in
-    another order, so it may meet another error first."""
+    a repeated key is there, or a scalar that cannot be built starts there.
+    yaml.load builds keys and values in another order, so it may meet
+    another error first."""
     value, error = read_subset(text)
-    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
-        expected, expected_error = outcome(lambda: yaml.load(text, Loader=loader))
-        repeats, compose_error = outcome(lambda: repeats_a_key(loader, text))
-        got, got_error = outcome(lambda: read_yaml(loader, text))
-        if error is None:
-            assert (repr(value), expected_error, repeats) == (repr(expected), None, False)
-        if expected_error is None and not repeats:
-            assert (repr(got), got_error) == (repr(expected), None)
-            continue
-        assert type(got_error) is ValueError
-        message = str(got_error)
-        if compose_error is not None:
-            assert message == as_read(compose_error)
-            continue
-        problem = PLACE.fullmatch(message)[3]
-        if problem.startswith("repeated key "):
-            assert repeats
-        elif problem in UNBUILDABLE.values():
-            assert names_an_unbuildable_scalar(text, message)
-
-
-@with_libyaml
-def test_nesting_deeper_than_the_line_reader_recurses_reads_as_yaml_load():
-    """A block nested past the interpreter's recursion limit for the line
-    reader is read by yaml.load instead of failing."""
-    text = "".join("  " * depth + f"k{depth}:\n" for depth in range(400))
-    with pytest.raises(RecursionError):
-        ncap.ingest._subset_value(text)
-    assert repr(read_yaml(yaml.CSafeLoader, text)) == repr(yaml.load(text, yaml.CSafeLoader))
+    expected, expected_error = outcome(lambda: yaml.load(text, Loader=yaml.SafeLoader))
+    repeats, compose_error = outcome(lambda: repeats_a_key(text))
+    got, got_error = outcome(lambda: ncap.ingest._yaml_value(text))
+    if error is None:
+        assert (repr(value), expected_error, repeats) == (repr(expected), None, False)
+    if expected_error is None and not repeats:
+        assert (repr(got), got_error) == (repr(expected), None)
+        return
+    assert type(got_error) is ValueError
+    message = str(got_error)
+    if compose_error is not None:
+        assert message == as_read(compose_error, text)
+        return
+    problem = PLACE.fullmatch(message)[3]
+    if problem.startswith("repeated key "):
+        assert repeats
+    elif problem in UNBUILDABLE.values():
+        assert names_an_unbuildable_scalar(text, message)
 
 
 def test_loading_a_config_leaves_no_memory_behind(tmp_path):
@@ -986,50 +958,55 @@ def test_loading_a_config_leaves_no_memory_behind(tmp_path):
     assert growth < 10_000
 
 
-def load_with(loader, path, monkeypatch):
-    with monkeypatch.context() as patch:
-        use_loader(patch, loader)
-        return load_config(path)
+# configs whose read hung on how PyYAML was built (libyaml read both tabs
+# and refused the directive and the escape, which the pure loader reads),
+# with the error each gives, or None for one that loads
+PARSE = "cannot parse config {path}: line 4, column "
+INSTALL_CASES = {
+    "tab_in_plain_scalar": (
+        "    unit: m\ts\n", PARSE + "12: found character '\\t' that cannot start any token"
+    ),
+    "tab_after_tag": ("    unit: !!str\tx\n", PARSE + "16: expected ' ', but found '\\t'"),
+    "yaml_1_0_directive": ("", None),
+    "surrogate_escape": (
+        '    unit: "\\ud800"\n', "feature 'a': unit '\\ud800' is not valid UTF-8"
+    ),
+    "nul": (
+        "\x00\n", PARSE + "1: unacceptable character #x0000: special characters are not allowed"
+    ),
+}
 
 
-@with_libyaml
-def test_benchmark_config_equal_under_both_loaders(benchmark_config_path, monkeypatch):
-    fast = load_with(yaml.CSafeLoader, benchmark_config_path, monkeypatch)
-    assert fast == load_with(yaml.SafeLoader, benchmark_config_path, monkeypatch)
-
-
-@with_libyaml
-def test_profile_config_equal_under_both_loaders(tmp_path, monkeypatch):
-    lines = [
-        "features:",
-        "  - name: res",
-        "    direction: more_is_better",
-        "    encoding: {'620x512': 317440, \"4k\": 8.2944e+6, FHD: 2073600}",
-        "  - name: t",
-        "    direction: less_is_better",
-        "weights: {res: 0.25, t: 0.75}",
-        "missing: exclude",
-        "profiles:",
-    ]
-    for i in range(50):
-        lines += [
-            f"  uas-{i}:",
-            f"    modeling: {'true' if i % 2 else 'false'}",
-            f"    planning: {'yes' if i % 3 else 'no'}",
-            "    execution: false",
-            f"    evidence: {{modeling: 'note {i}: \"quoted\"'}}",
-        ]
+@pytest.mark.parametrize("case", INSTALL_CASES)
+def test_config_reads_the_same_with_and_without_libyaml(tmp_path, monkeypatch, case):
+    """load_config gives the same value or the same error whether PyYAML
+    has libyaml's CSafeLoader or not."""
+    tail, error = INSTALL_CASES[case]
+    text = "features:\n  - name: a\n    direction: more_is_better\n" + tail
     path = tmp_path / "c.yaml"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    fast = load_with(yaml.CSafeLoader, path, monkeypatch)
-    assert len(fast.profiles) == 50
-    assert fast == load_with(yaml.SafeLoader, path, monkeypatch)
+    path.write_text(text if tail else f"%YAML 1.0\n---\n{text}")
+
+    def read():
+        try:
+            return load_config(path)
+        except ConfigError as exc:
+            return str(exc)
+
+    as_installed = read()
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert read() == as_installed
+    if error is None:
+        assert as_installed.features[0].name == "a"
+    else:
+        assert as_installed == error.format(path=path)
 
 
-@with_libyaml
-def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkeypatch):
+def test_load_config_reads_outside_the_subset_on_the_pure_loader(
+    benchmark_config_path, tmp_path, monkeypatch
+):
     """load_config reads the benchmark config without PyYAML's parser; a
-    config with an anchor is read once, by yaml.load on libyaml's loader."""
+    config with an anchor is read once, by yaml.load on a subclass of
+    PyYAML's pure-Python SafeLoader, on every install."""
     calls = []
 
     def spy(name):
@@ -1048,6 +1025,6 @@ def test_load_config_parses_with_libyaml(benchmark_config_path, tmp_path, monkey
     anchored = tmp_path / "c.yaml"
     anchored.write_text("features:\n  - &a {name: a, direction: more_is_better}\n")
     assert load_config(anchored).features[0].name == "a"
-    assert [(name, issubclass(loader, yaml.CSafeLoader)) for name, loader in calls] == [
+    assert [(name, issubclass(loader, yaml.SafeLoader)) for name, loader in calls] == [
         ("load", True)
     ]
