@@ -274,8 +274,9 @@ def load_config(path: str | Path) -> EvalConfig:
 
 def _yaml_value(text: str):
     """The value yaml.load gives. A text outside the line reader's subset is
-    read by yaml.load; a YAML error becomes a ValueError with its line,
-    column and problem, and nesting too deep to read one without a place."""
+    read by yaml.load from PyYAML, an optional dependency; a YAML error
+    becomes a ValueError with its line, column and problem, and so do, without
+    a place, nesting too deep to read and such a text where PyYAML is absent."""
     try:
         try:
             return _subset_value(text)
@@ -286,8 +287,12 @@ def _yaml_value(text: str):
 
 
 def _yaml_load(text: str):
-    import yaml
-
+    try:
+        import yaml
+    except ImportError:  # the reader keeps no place, so the message names none
+        raise ValueError(
+            "it uses YAML beyond ncap's own reader, which needs PyYAML (pip install 'ncap[yaml]')"
+        ) from None
     try:
         return yaml.load(text, Loader=_loader())
     except yaml.MarkedYAMLError as exc:

@@ -62,7 +62,7 @@ def _plan(column: Sequence[float], method: NormalizationMethod, bounds=None):
             return 0.5
         span = hi - lo
         if not math.isfinite(span):
-            raise OverflowError(f"eta_map: range {lo!r} to {hi!r} overflows")
+            raise OverflowError(f"range {lo!r} to {hi!r} overflows")
         return lo, span
     # Exact all-equal check: a float std test would misfire when the mean
     # is not representable and deviations collapse to one tiny residual.
@@ -74,7 +74,7 @@ def _plan(column: Sequence[float], method: NormalizationMethod, bounds=None):
     # d * d is correctly rounded, so scaling a column by 2**k scales var by 4**k
     var = math.fsum(map(mul, deviations, deviations))
     if var == math.inf:  # a finite deviation's square overflowed
-        raise OverflowError("eta_zsc: squared deviations overflow")
+        raise OverflowError("squared deviations overflow")
     std = math.sqrt(var / n)
     # squared deviations can underflow for subnormal spreads
     return 0.0 if std == 0.0 else (mean, std)
@@ -91,8 +91,13 @@ def _apply(plan, column: Sequence[float]) -> Iterator[float]:
 
 
 def normalize(column: Sequence[float], method: NormalizationMethod) -> NormalizedColumn:
-    """Apply the named normalization technique to one column."""
-    return NormalizedColumn(tuple(_apply(_plan(column, method), column)), method)
+    """Apply the named normalization technique to one column. A sum, range
+    or square beyond the largest float raises DomainError naming it."""
+    try:
+        plan = _plan(column, method)
+    except OverflowError as exc:
+        raise DomainError(f"eta_{method.value}: {exc}") from None
+    return NormalizedColumn(tuple(_apply(plan, column)), method)
 
 
 def eta_max(column: Sequence[float]) -> NormalizedColumn:
@@ -113,7 +118,7 @@ def eta_map(column: Sequence[float]) -> NormalizedColumn:
 
     An all-equal column carries no ordering information and maps to the
     neutral midpoint 0.5 everywhere. A range wider than the largest float
-    raises OverflowError.
+    raises DomainError.
     """
     return normalize(column, NormalizationMethod.MAP)
 

@@ -390,17 +390,17 @@ def weighted_sum_oracle(matrix, weights, method, present=None):
         holders = [i for i in range(len(matrix.platforms)) if present[i][j]]
         try:
             column = normalize([matrix.values[i][j] for i in holders], method)
-        except OverflowError:
-            raise DomainError(
-                f"feature {spec.name!r}: values too large for eta_{method.value}"
-            ) from None
         except EmptyColumnError:
             need = "at least 2 present values" if method.value == "zsc" else "a present value"
             raise EmptyColumnError(
                 f"feature {spec.name!r}: eta_{method.value} needs {need}"
             ) from None
         except DomainError:
-            i = next(i for i in holders if matrix.values[i][j] <= 0)
+            i = next((i for i in holders if matrix.values[i][j] <= 0), None)
+            if i is None or method.value in ("map", "zsc"):  # a sum, range or square overflowed
+                raise DomainError(
+                    f"feature {spec.name!r}: values too large for eta_{method.value}"
+                ) from None
             raise DomainError(
                 f"feature {spec.name!r}: eta_{method.value} requires strictly positive "
                 f"values; got {matrix.values[i][j]!r} for platform {matrix.platforms[i]!r}"

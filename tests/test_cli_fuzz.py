@@ -14,13 +14,16 @@ Each config example mutates the bundled config, written in block style or
 with one-line flow collections, and runs level and score once as shipped
 and once with every config read by yaml.load: both runs give the same
 exit code, stdout and error line, and a config that cannot be parsed is
-named with a line and column.
+named with a line and column. A third run without PyYAML gives the same
+again, unless the config is beyond the line reader: then it is one error
+line that asks for PyYAML.
 """
 
 import contextlib
 import io
 import json
 import re
+import sys
 
 import pytest
 import yaml
@@ -28,6 +31,7 @@ from hypothesis import given, settings, strategies as st
 
 import ncap.ingest
 from ncap.cli import main
+from test_dependencies import NO_PYYAML
 
 TOKENS = ["-", "N/A", "nan", "inf", "1e308", "5e-324", "-0", "0", "-3", "zzz",
           '"', "\ufeff", "\x00", "\r"]
@@ -242,6 +246,11 @@ def test_mutated_config_reads_as_yaml_load_reads_it(
     config.write_bytes(
         mutate_config(text if form == "block" else flow_form(text), edits).encode("utf-8")
     )
+    try:
+        ncap.ingest._subset_value(config.read_text("utf-8-sig"))
+        outside = False
+    except ncap.ingest._Outside:
+        outside = True
     for argv in (["level", "--config", str(config), "--format", "csv"],
                  ["score", "--matrix", str(benchmark_matrix_path), "--config", str(config),
                   "--weights", "config", "--format", "csv"]):
@@ -249,8 +258,13 @@ def test_mutated_config_reads_as_yaml_load_reads_it(
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(ncap.ingest, "_subset_value", read_by_yaml_load)
             loaded = run(argv)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setitem(sys.modules, "yaml", None)
+            without_pyyaml = run(argv)
         assert code in (0, 1, 2)
         assert (code, out, err) == loaded
+        shipped = (1, b"", NO_PYYAML.format(config)) if outside else (code, out, err)
+        assert without_pyyaml == shipped
         if code == 1:
             assert out == b"" and ERROR_LINE.fullmatch(err)
             prefix = f"error: ConfigError: cannot parse config {config}: "

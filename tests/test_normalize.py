@@ -81,16 +81,27 @@ def test_eta_map_flight_times():
 
 
 def test_eta_map_range_overflow_raises():
-    with pytest.raises(OverflowError, match="eta_map"):
+    with pytest.raises(DomainError, match="eta_map: range -1e\\+308 to 1e\\+308 overflows"):
         eta_map([1e308, -1e308])
     assert eta_map([1e308, 0.0]).values == (1.0, 0.0)
 
 
 def test_eta_zsc_square_overflow_raises():
     # 1e200 * 1e200 is inf without an error, which would zero every z-score
-    with pytest.raises(OverflowError, match="eta_zsc: squared deviations overflow"):
+    with pytest.raises(DomainError, match="eta_zsc: squared deviations overflow"):
         eta_zsc([1e200, -1e200])
     assert eta_zsc([1e150, -1e150]).values == (1.0, -1.0)
+
+
+@pytest.mark.parametrize(
+    "eta,column",
+    [(eta_sum, [1e308, 1e308]), (eta_zsc, [1.7e308, 1.7e308, -1.7e308])],
+    ids=["sum", "zsc"],
+)
+def test_sum_overflow_is_a_domain_error_naming_the_technique(eta, column):
+    # math.fsum raises a bare OverflowError when a partial sum overflows
+    with pytest.raises(DomainError, match=f"^{eta.__name__}: intermediate overflow in fsum$"):
+        eta(column)
 
 
 def test_eta_map_empty():
@@ -226,6 +237,13 @@ def _require_positive_oracle(column, name):
             )
 
 
+def _fsum_oracle(values, name):
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise DomainError(f"eta_{name}: {exc}") from None
+
+
 def eta_oracle(column, method):
     if method is NormalizationMethod.ZSC:
         n = len(column)
@@ -233,10 +251,10 @@ def eta_oracle(column, method):
             raise EmptyColumnError("eta_zsc: need at least 2 values")
         if min(column) == max(column):
             return (0.0,) * n
-        mean = math.fsum(column) / n
-        var = math.fsum((v - mean) * (v - mean) for v in column)
+        mean = _fsum_oracle(column, "zsc") / n
+        var = _fsum_oracle(((v - mean) * (v - mean) for v in column), "zsc")
         if var == math.inf:
-            raise OverflowError("eta_zsc: squared deviations overflow")
+            raise DomainError("eta_zsc: squared deviations overflow")
         std = math.sqrt(var / n)
         if std == 0.0:
             return (0.0,) * n
@@ -249,10 +267,10 @@ def eta_oracle(column, method):
             return (0.5,) * len(column)
         span = hi - lo
         if not math.isfinite(span):
-            raise OverflowError(f"eta_map: range {lo!r} to {hi!r} overflows")
+            raise DomainError(f"eta_map: range {lo!r} to {hi!r} overflows")
         return tuple((v - lo) / span for v in column)
     _require_positive_oracle(column, method.value)
-    top = max(column) if method is NormalizationMethod.MAX else math.fsum(column)
+    top = max(column) if method is NormalizationMethod.MAX else _fsum_oracle(column, "sum")
     return tuple(v / top for v in column)
 
 
