@@ -35,6 +35,10 @@ from .normalize import NormalizationMethod, _apply, _plan
 
 #: Combination-method tokens, in canonical presentation order.
 METHODS = ("max", "sum", "map", "zsc", "product")
+#: Above this many cells x methods, score_table runs every second method on
+#: a second CPU (see _fork.split). Forking broke even near 70,000 on a 2-CPU
+#: machine; the margin pays the fork path's cold import (~3 ms).
+_FORK_WORK = 100_000
 
 
 class _WeightVector(NamedTuple):
@@ -156,7 +160,7 @@ def _checked(matrix: FeatureMatrix, weights: WeightVector, present):
     return built
 
 
-def _sum_scores(platforms, columns, idle, method) -> dict[str, float]:
+def _sum_scores(platforms, columns, idle, method) -> list[float]:
     """Normalize each column over its present cells, then sum each platform's
     signed weighted values with fsum. An absent cell is a term of weight 0.0:
     fsum is correctly rounded, so neither it nor the order changes a bit."""
@@ -182,10 +186,10 @@ def _sum_scores(platforms, columns, idle, method) -> dict[str, float]:
         terms.append(map(mul, weights_j, _apply(plan, filled)))
     if idle is not None:
         raise DomainError(f"platform {idle!r} has no weight on any present feature")
-    return dict(zip(platforms, map(math.fsum, zip(*terms))))
+    return list(map(math.fsum, zip(*terms)))
 
 
-def _product_scores(platforms, columns, idle) -> dict[str, float]:
+def _product_scores(platforms, columns, idle) -> list[float]:
     """Multiply each platform's value ** (signed weight) in column order from
     1. An absent cell is the factor x ** 0.0, which is exactly 1.0. On a
     value <= 0 or an overflow, the row loop names the first bad cell in
@@ -194,7 +198,7 @@ def _product_scores(platforms, columns, idle) -> dict[str, float]:
         factors = [map(pow, filled, weights_j) for _, _, _, _, filled, weights_j in columns]
         try:
             # math.prod starts from the int 1, and 1 * x is x exactly
-            return dict(zip(platforms, map(math.prod, zip(*factors))))
+            return list(map(math.prod, zip(*factors)))
         except OverflowError:
             pass
     for i, platform in enumerate(platforms):
@@ -226,7 +230,8 @@ def weighted_sum(
     then contributes sign * weight * normalized value to the platform
     score, where the sign is -1 for less-is-better features.
     """
-    return _sum_scores(matrix.platforms, *_checked(matrix, weights, present), method)
+    scores = _sum_scores(matrix.platforms, *_checked(matrix, weights, present), method)
+    return dict(zip(matrix.platforms, scores))
 
 
 def weighted_product(
@@ -239,7 +244,8 @@ def weighted_product(
     Values must be strictly positive; less-is-better features get negative
     exponents, so larger raw values shrink the score.
     """
-    return _product_scores(matrix.platforms, *_checked(matrix, weights, present))
+    scores = _product_scores(matrix.platforms, *_checked(matrix, weights, present))
+    return dict(zip(matrix.platforms, scores))
 
 
 def score_table(
@@ -247,7 +253,11 @@ def score_table(
     weights: WeightVector,
     methods: Sequence[str],
 ) -> ScoreTable:
-    """Run every requested combination method over a resolved matrix."""
+    """Run every requested combination method over a resolved matrix.
+
+    Above _FORK_WORK cells x methods, a forked child runs every second
+    method (ncap._fork.split); the scores and errors are the serial path's,
+    bit for bit."""
     if not methods:
         raise DimensionError("no combination methods requested")
     unknown = [m for m in methods if m not in METHODS]
@@ -255,12 +265,19 @@ def score_table(
         raise DimensionError(f"unknown combination methods: {unknown}")
     platforms = resolved.matrix.platforms
     columns, idle = _columns(resolved.matrix, weights)
-    return ScoreTable(
-        platforms=platforms,
-        columns={
-            method: _product_scores(platforms, columns, idle)
-            if method == "product"
-            else _sum_scores(platforms, columns, idle, NormalizationMethod(method))
-            for method in methods
-        },
-    )
+
+    def scores(method: str) -> list[float]:
+        if method == "product":
+            return _product_scores(platforms, columns, idle)
+        return _sum_scores(platforms, columns, idle, NormalizationMethod(method))
+
+    def column(values) -> dict[str, float]:
+        return dict(zip(platforms, values))
+
+    if len(platforms) * len(columns) * len(methods) > _FORK_WORK:
+        from ._fork import split
+
+        table = split(methods, scores, column)
+    else:
+        table = [column(scores(method)) for method in methods]
+    return ScoreTable(platforms=platforms, columns=dict(zip(methods, table)))

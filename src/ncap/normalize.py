@@ -39,7 +39,8 @@ def _plan(column: Sequence[float], method: NormalizationMethod, bounds=None):
     """How ``method`` maps ``column``: (shift, scale) for v -> (v - shift) / scale,
     with shift None for v -> v / scale, or the float every value maps to.
     ``bounds``, the (min, max) of a finite column that max and sum may take,
-    skips their positivity check, which otherwise names the first v <= 0."""
+    skips the checks that otherwise name, for max and sum, the first v <= 0,
+    and then the first non-finite value."""
     zsc = method is NormalizationMethod.ZSC
     if len(column) < 1 + zsc:
         raise EmptyColumnError(
@@ -51,6 +52,9 @@ def _plan(column: Sequence[float], method: NormalizationMethod, bounds=None):
             raise DomainError(
                 f"eta_{method.value} requires strictly positive values; got {v!r} at index {i}"
             )
+        if not all(map(math.isfinite, column)):
+            i, v = next((i, v) for i, v in enumerate(column) if not math.isfinite(v))
+            raise DomainError(f"eta_{method.value} requires finite values; got {v!r} at index {i}")
         bounds = min(column), max(column)
     lo, hi = bounds
     if method is NormalizationMethod.MAX:
@@ -91,8 +95,12 @@ def _apply(plan, column: Sequence[float]) -> Iterator[float]:
 
 
 def normalize(column: Sequence[float], method: NormalizationMethod) -> NormalizedColumn:
-    """Apply the named normalization technique to one column. A sum, range
-    or square beyond the largest float raises DomainError naming it."""
+    """Apply the named normalization technique to one column. A method that
+    is not a NormalizationMethod, a non-finite value, or a sum, range or
+    square beyond the largest float raises DomainError naming it."""
+    if not isinstance(method, NormalizationMethod):
+        names = ", ".join(f"NormalizationMethod.{m.name}" for m in NormalizationMethod)
+        raise DomainError(f"not a normalization method: {method!r}; expected one of {names}")
     try:
         plan = _plan(column, method)
     except OverflowError as exc:

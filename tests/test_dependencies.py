@@ -80,6 +80,34 @@ def test_import_ncap_cli_adds_no_top_level_module():
     assert added <= CLI_IMPORTS, sorted(added - CLI_IMPORTS)
 
 
+def test_import_ncap_cli_loads_neither_array_nor_the_fork_helper():
+    """Only a score table above its fork threshold needs them."""
+    probe = (
+        "import sys; import ncap.cli; "
+        "print(sorted({'array', 'ncap._fork'} & set(sys.modules)))"
+    )
+    assert _child(probe).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("command", ["score", "compare"])
+def test_uas7_commands_never_fork(tmp_path, monkeypatch, command):
+    """70 cells and 7 platforms are far below the fork threshold."""
+    from ncap.cli import main
+
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("this test forks no child")
+
+    monkeypatch.setattr(os, "fork", fork)
+    data = SRC.parent / "data"
+    argv = [command, "--matrix", str(data / "uas_features.csv")]
+    argv += ["--config", str(data / "uas_config.yaml"), "--weights", "config"]
+    assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 0
+    assert forks == []
+
+
 def test_commands_import_pyyaml_only_for_configs_outside_the_subset(tmp_path):
     """score and level on the bundled data never import PyYAML: the line
     reader reads the config. A config with an anchor is read by yaml.load."""

@@ -244,11 +244,18 @@ def _fsum_oracle(values, name):
         raise DomainError(f"eta_{name}: {exc}") from None
 
 
+def _require_finite_oracle(column, name):
+    for i, v in enumerate(column):
+        if not math.isfinite(v):
+            raise DomainError(f"eta_{name} requires finite values; got {v!r} at index {i}")
+
+
 def eta_oracle(column, method):
     if method is NormalizationMethod.ZSC:
         n = len(column)
         if n < 2:
             raise EmptyColumnError("eta_zsc: need at least 2 values")
+        _require_finite_oracle(column, "zsc")
         if min(column) == max(column):
             return (0.0,) * n
         mean = _fsum_oracle(column, "zsc") / n
@@ -262,6 +269,7 @@ def eta_oracle(column, method):
     if not column:
         raise EmptyColumnError(f"eta_{method.value}: empty column")
     if method is NormalizationMethod.MAP:
+        _require_finite_oracle(column, "map")
         lo, hi = min(column), max(column)
         if lo == hi:
             return (0.5,) * len(column)
@@ -270,6 +278,7 @@ def eta_oracle(column, method):
             raise DomainError(f"eta_map: range {lo!r} to {hi!r} overflows")
         return tuple((v - lo) / span for v in column)
     _require_positive_oracle(column, method.value)
+    _require_finite_oracle(column, method.value)
     top = max(column) if method is NormalizationMethod.MAX else _fsum_oracle(column, "sum")
     return tuple(v / top for v in column)
 
@@ -303,3 +312,28 @@ def test_nonpositive_value_after_nan_is_rejected(eta):
     # min([nan, -1.0]) is nan, so a check on the minimum would let -1.0 by
     with pytest.raises(DomainError, match="got -1.0 at index 1"):
         eta([math.nan, -1.0])
+
+
+@pytest.mark.parametrize(
+    "eta, column, detail",
+    [
+        (eta_max, [1.0, math.inf], "eta_max requires finite values; got inf at index 1"),
+        (eta_sum, [1.0, math.nan], "eta_sum requires finite values; got nan at index 1"),
+        (eta_map, [-math.inf, 1.0], "eta_map requires finite values; got -inf at index 0"),
+        (eta_zsc, [1.0, math.inf, 2.0], "eta_zsc requires finite values; got inf at index 1"),
+        (eta_zsc, [1.0, 2.0, math.nan, math.inf], "got nan at index 2"),
+    ],
+)
+def test_non_finite_value_is_named_with_its_index(eta, column, detail):
+    with pytest.raises(DomainError, match=detail):
+        eta(column)
+
+
+@pytest.mark.parametrize("method", ["max", None, 0])
+def test_normalize_rejects_a_method_that_is_not_a_member(method):
+    with pytest.raises(DomainError) as raised:
+        normalize([1.0, 2.0], method)
+    assert str(raised.value) == (
+        f"not a normalization method: {method!r}; expected one of NormalizationMethod.MAX, "
+        "NormalizationMethod.SUM, NormalizationMethod.MAP, NormalizationMethod.ZSC"
+    )
