@@ -164,15 +164,15 @@ def _sum_scores(platforms, columns, idle, method) -> list[float]:
     """Normalize each column over its present cells, then sum each platform's
     signed weighted values with fsum. An absent cell is a term of weight 0.0:
     fsum is correctly rounded, so neither it nor the order changes a bit."""
-    terms = []
+    terms, positive = [], method.value in ("max", "sum")
     for spec, column, found, bounds, filled, weights_j in columns:
-        what = f"feature {spec.name!r}: eta_{method.value}"
-        if method.value in ("max", "sum") and bounds[0] <= 0:  # name the first value <= 0
+        if positive and bounds[0] <= 0:  # name the first value <= 0
             platform, value = next(
                 (p, v) for p, v in zip(platforms, column) if v is not None and v <= 0
             )
             raise DomainError(
-                f"{what} requires strictly positive values; got {value!r} for platform {platform!r}"
+                f"feature {spec.name!r}: eta_{method.value} requires strictly positive values; "
+                f"got {value!r} for platform {platform!r}"
             )
         try:
             plan = _plan(found, method, bounds=bounds)
@@ -182,6 +182,7 @@ def _sum_scores(platforms, columns, idle, method) -> list[float]:
             ) from None
         except EmptyColumnError:
             need = "at least 2 present values" if method.value == "zsc" else "a present value"
+            what = f"feature {spec.name!r}: eta_{method.value}"
             raise EmptyColumnError(f"{what} needs {need}") from None
         terms.append(map(mul, weights_j, _apply(plan, filled)))
     if idle is not None:

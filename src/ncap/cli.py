@@ -282,9 +282,10 @@ def _csv_column(column: tuple) -> Iterable:
 
 
 def _json_value(value):
-    """Floats rounded to 6 decimals, non-finite ones as null, also inside dicts."""
+    """Floats rounded to 6 decimals, non-finite ones as null, also inside dicts;
+    round() is correctly rounded, as "%.6f" is, and + 0.0 turns -0.0 into 0.0."""
     if isinstance(value, float):
-        return float(decimals(value, 6)) if math.isfinite(value) else None
+        return round(value, 6) + 0.0 if math.isfinite(value) else None
     if isinstance(value, dict):
         return {key: _json_value(v) for key, v in value.items()}
     return value

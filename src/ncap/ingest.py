@@ -21,7 +21,7 @@ import math
 import re
 from enum import Enum
 from itertools import compress, repeat
-from operator import is_not
+from operator import is_, is_not
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -37,6 +37,8 @@ from .errors import (
 from .level import LAYERS_ABOVE_PERCEPTION, CapabilityProfile
 
 MISSING_TOKENS = frozenset({"", "-", "N/A"})
+_LAYERS = ("perception", *LAYERS_ABOVE_PERCEPTION)
+_PROFILE_KEYS = frozenset((*_LAYERS, "evidence"))
 
 
 def read_utf8(path: str | Path, error: type[NcapError]) -> str:
@@ -199,6 +201,11 @@ class FeatureMatrix(_FeatureMatrix):
                     f"row for {platform!r} has {len(row)} cells, "
                     f"expected {len(features)}"
                 )
+            try:  # an inf or nan cell makes the float sum of the non-zero cells non-finite
+                if math.isfinite(sum(filter(None, row), 0.0)):
+                    continue
+            except (ArithmeticError, TypeError):  # a huge int or a cell that is no number
+                pass
             if not all(map(math.isfinite, compress(row, map(is_not, row, repeat(None))))):
                 spec, cell = next(
                     (s, c) for s, c in zip(features, row) if c is not None and not math.isfinite(c)
@@ -452,8 +459,11 @@ class _LineReader:
                 items.append(self.block(column))
                 continue
             self.row = next(self.rows, None)
-            on_row = rest and rest[0] != "#"  # a value, not a comment, after the "-"
-            items.append(self.inline(rest) if on_row else self.nested(indent, False))
+            if rest in _WORDS:
+                items.append(_WORDS[rest])
+            else:
+                on_row = rest and rest[0] != "#"  # a value, not a comment, after the "-"
+                items.append(self.inline(rest) if on_row else self.nested(indent, False))
         return items
 
     def mapping(self, indent: str) -> dict:
@@ -477,7 +487,12 @@ class _LineReader:
             if key in out:
                 raise _Outside
             self.row = next(self.rows, None)
-            out[key] = self.inline(rest) if rest and rest[0] != "#" else self.nested(indent, True)
+            if rest in _WORDS:
+                out[key] = _WORDS[rest]
+            elif rest and rest[0] != "#":
+                out[key] = self.inline(rest)
+            else:
+                out[key] = self.nested(indent, True)
         return out
 
     def inline(self, text: str):
@@ -624,19 +639,25 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
 def _parse_profiles(entries) -> dict[str, CapabilityProfile]:
     if entries is None:
         return {}
-    profiles, layers = {}, ("perception", *LAYERS_ABOVE_PERCEPTION)
+    profiles = {}
     for platform, body in _mapping(entries, "profiles").items():
-        what = f"profile for {platform!r}"
-        flags = {"perception": True, **_mapping(body, what, (*layers, "evidence"))}
+        flags = {"perception": True, **body} if type(body) is dict else {}
         evidence = flags.pop("evidence", None)
-        for layer in layers:
-            if not isinstance(flags.get(layer), bool):
-                raise ConfigError(f"{what} needs boolean {layer!r}")
-        evidence = {} if evidence is None else _mapping(evidence, f"{what}: evidence")
-        evidence = {
-            key: _utf8(note, f"{what}: evidence for {key!r}") for key, note in evidence.items()
-        }
-        profiles[platform] = CapabilityProfile(platform=platform, evidence=evidence, **flags)
+        if evidence is not None or not (
+            flags.keys() <= _PROFILE_KEYS
+            and all(map(isinstance, map(flags.get, _LAYERS), repeat(bool)))
+        ):  # any other body is checked key by key, naming its first fault
+            what = f"profile for {platform!r}"
+            flags = {"perception": True, **_mapping(body, what, _PROFILE_KEYS)}
+            evidence = flags.pop("evidence", None)
+            for layer in _LAYERS:
+                if not isinstance(flags.get(layer), bool):
+                    raise ConfigError(f"{what} needs boolean {layer!r}")
+            evidence = {} if evidence is None else _mapping(evidence, f"{what}: evidence")
+            evidence = {
+                key: _utf8(note, f"{what}: evidence for {key!r}") for key, note in evidence.items()
+            }
+        profiles[platform] = CapabilityProfile(platform=platform, evidence=evidence or {}, **flags)
     return profiles
 
 
@@ -715,12 +736,14 @@ def resolve_missing(matrix: FeatureMatrix, policy: MissingValuePolicy) -> Resolv
     columns = list(zip(*matrix.values))
     for j, column in enumerate(columns):
         if None in column:  # a complete column needs no mean
-            found = [cell for cell in column if cell is not None]
+            found = list(compress(column, map(is_not, column, repeat(None))))
             try:
                 mean = math.fsum(found) / len(found)
             except OverflowError:  # scaled by 2**-k < 1/n, no partial sum overflows
                 k = len(found).bit_length()
                 mean = math.fsum(math.ldexp(cell, -k) for cell in found) / len(found) * 2.0**k
-            columns[j] = [mean if cell is None else cell for cell in column]
+            columns[j] = filled = list(column)
+            for i in compress(range(len(column)), map(is_, column, repeat(None))):
+                filled[i] = mean
     full = FeatureMatrix(matrix.platforms, matrix.features, tuple(zip(*columns)))
     return ResolvedMatrix(matrix=full)

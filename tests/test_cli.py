@@ -2,8 +2,11 @@ import csv
 import gc
 import io
 import json
+import math
 import os
+import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +16,8 @@ import yaml
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import ncap
-from ncap.cli import main
+from ncap.cli import _json_value, main
+from ncap.geometry import decimals
 
 from golden import (
     LEVELS,
@@ -1207,3 +1211,27 @@ def test_readme_supported_names_are_ncap_all():
     section = readme.split("\n### Supported names\n", 1)[1].split("\n#", 1)[0]
     names = re.findall(r"`([A-Za-z_]\w*)`", section.split("\n- ", 1)[1])
     assert sorted(names) == sorted(ncap.__all__)
+
+
+def json_number_oracle(x):
+    """A jsonl float as cli._json_value wrote it before: formatted to 6
+    decimals, without "-0", and parsed back."""
+    return float(decimals(x, 6))
+
+
+def test_json_numbers_keep_the_bits_of_format_then_parse():
+    """round(x, 6) + 0.0 against "%.6f" and float(): random bit patterns,
+    values within a few ulps of a half-way case, signed zeros and tiny
+    negatives, and magnitudes up to 1e17."""
+    rng = random.Random(20211)
+    values = [0.0, -0.0, -1e-7, -4.9999999e-7, -5e-7, 5e-7, 1e17, -1e17, 5e-324, 1.7e308]
+    values += struct.unpack("<20000d", rng.randbytes(8 * 20_000))
+    for _ in range(10_000):  # the five doubles around (2k + 1) * 5e-7
+        x = (2 * rng.randrange(-10**9, 10**9) + 1) * 5e-7
+        x = math.nextafter(math.nextafter(x, -math.inf), -math.inf)
+        for _ in range(5):
+            values.append(x)
+            x = math.nextafter(x, math.inf)
+    values += [rng.uniform(-1, 1) * 10.0 ** rng.randrange(-8, 18) for _ in range(20_000)]
+    for x in filter(math.isfinite, values):
+        assert _json_value(x).hex() == json_number_oracle(x).hex(), x

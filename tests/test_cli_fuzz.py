@@ -17,11 +17,17 @@ exit code, stdout and error line, and a config that cannot be parsed is
 named with a line and column. A third run without PyYAML gives the same
 again, unless the config is beyond the line reader: then it is one error
 line that asks for PyYAML.
+
+A fixed-seed batch of mutated matrices and profile bodies also runs in
+fresh interpreters under two PYTHONHASHSEED values, which must print the
+same exit codes, stdout and stderr: the first fault each input holds is
+named the same way whatever order a set or a dict of str would take.
 """
 
 import contextlib
 import io
 import json
+import random
 import re
 import sys
 
@@ -31,7 +37,7 @@ from hypothesis import given, settings, strategies as st
 
 import ncap.ingest
 from ncap.cli import main
-from test_dependencies import NO_PYYAML
+from test_dependencies import NO_PYYAML, _child
 
 TOKENS = ["-", "N/A", "nan", "inf", "1e308", "5e-324", "-0", "0", "-3", "zzz",
           '"', "\ufeff", "\x00", "\r"]
@@ -270,3 +276,85 @@ def test_mutated_config_reads_as_yaml_load_reads_it(
             prefix = f"error: ConfigError: cannot parse config {config}: "
             if err.startswith(prefix):
                 assert PLACE.match(err, len(prefix)), err
+
+
+# runs each argv of a JSON list through main() and prints, as one JSON list,
+# each run's exit code, stdout and stderr
+OUTCOMES_PROBE = (
+    "import contextlib, io, json, sys\n"
+    "from ncap.cli import main\n"
+    "runs = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.TextIOWrapper(io.BytesIO(), encoding='utf-8'), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        try:\n"
+    "            code = main(argv)\n"
+    "        except SystemExit as exc:\n"
+    "            code = exc.code\n"
+    "        out.flush()\n"
+    "    runs.append([code, out.buffer.getvalue().decode('utf-8', 'surrogateescape'),\n"
+    "                 err.getvalue()])\n"
+    "print(json.dumps(runs))\n"
+)
+
+# what a profile line's key or value may become, and lines a body may gain
+PROFILE_KEYS = ["unknown", "é", "1", "~", "Modeling", "perception", "evidence", "planning"]
+PROFILE_VALUES = ["yes", "1", "~", "True", "FALSE", "[x]", "{}", "'true'", "{1: x, '1': y}",
+                  "{lidar: ~}", ""]
+PROFILE_LINES = ["    perception: false", "    evidence: ~", "    evidence: [x]",
+                 "    zoom: true", "    1: true", "    é: true"]
+
+
+def mutate_profiles(text, rng):
+    """The config with one to three edits inside its profile bodies: a key
+    or value replaced, a line deleted, duplicated or added."""
+    lines = text.split("\n")
+    start = lines.index("profiles:") + 1
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(start, len(lines))
+        key, sep, value = lines[k].partition(": ")
+        op = rng.choice(["key", "value", "delete", "duplicate", "add"])
+        if op == "key" and sep:
+            lines[k] = f"{' ' * (len(key) - len(key.lstrip()))}{rng.choice(PROFILE_KEYS)}: {value}"
+        elif op == "value" and sep:
+            lines[k] = f"{key}: {rng.choice(PROFILE_VALUES)}"
+        elif op == "delete":
+            del lines[k]
+        elif op == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines.insert(k, rng.choice(PROFILE_LINES))
+    return "\n".join(lines)
+
+
+def random_edit(rng):
+    """One matrix edit of the kinds EDITS draws, a cell edit three times in seven."""
+    op = rng.choice(["cell"] * 3 + ["del_row", "dup_row", "del_col", "dup_col"])
+    if op == "cell":
+        return op, rng.randrange(100), rng.randrange(100), rng.choice(TOKENS)
+    return op, rng.randrange(100)
+
+
+def test_mutated_inputs_fail_alike_under_two_hash_seeds(
+    tmp_path, benchmark_matrix_path, benchmark_config_path
+):
+    rng = random.Random(2021)
+    matrix, config = str(benchmark_matrix_path), str(benchmark_config_path)
+    batch = []
+    for k in range(30):
+        edits = [random_edit(rng) for _ in range(rng.randint(1, 3))]
+        path = tmp_path / f"matrix-{k}.csv"
+        path.write_bytes(mutate(benchmark_matrix_path.read_text("utf-8"), edits).encode("utf-8"))
+        for command, missing in (("score", "mean"), ("compare", "exclude")):
+            batch.append([command, "--matrix", str(path), "--config", config,
+                          "--missing", missing, "--weights", "config", "--format", "csv"])
+    for k in range(30):
+        path = tmp_path / f"config-{k}.yaml"
+        path.write_text(mutate_profiles(benchmark_config_path.read_text("utf-8"), rng), "utf-8")
+        batch.append(["level", "--config", str(path), "--format", "csv"])
+        batch.append(["distance", "--matrix", matrix, "--config", str(path), "--format", "csv"])
+    runs = [json.loads(_child(OUTCOMES_PROBE, json.dumps(batch), PYTHONHASHSEED=seed).stdout)
+            for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    codes = [code for code, _, _ in runs[0]]
+    assert set(codes) == {0, 1}, codes  # the batch holds both accepted and rejected inputs

@@ -5,19 +5,24 @@ place from bench/golden/uas7-cli/; the flags are those of its uas7-cli
 mix. tests/golden_cli/ pins distance and plotdata under other flags:
 the bundled data under --missing exclude with uniform weights, and a
 --scores file written by score --format csv. The same 21 outputs are
-also written by fresh interpreters under three PYTHONHASHSEED values
-and without PyYAML.
+also written by fresh interpreters under three PYTHONHASHSEED values,
+without PyYAML, and by every other Python of the declared range that is
+installed.
 """
 
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR, REPO_ROOT
 from ncap.cli import main
-from test_dependencies import _child
+from test_dependencies import SRC, _child
 
 MATRIX, CONFIG = DATA_DIR / "uas_features.csv", DATA_DIR / "uas_config.yaml"
 GOLDEN_DIR = REPO_ROOT / "bench" / "golden" / "uas7-cli"
@@ -122,3 +127,43 @@ def test_goldens_keep_their_bytes_under_any_hash_seed(tmp_path, seed):
 def test_goldens_keep_their_bytes_without_pyyaml(tmp_path):
     """The bundled config is read by the line reader, so no golden needs PyYAML."""
     assert_child_writes_the_goldens(tmp_path, block=("yaml",))
+
+
+def other_pythons():
+    """Each python3.10 ... python3.14 on PATH, other than this interpreter,
+    that starts and reports a version of at least 3.10, as pyproject.toml's
+    requires-python asks."""
+    kept = []
+    for minor in range(10, 15):
+        found = shutil.which(f"python3.{minor}")
+        if found is None or minor == sys.version_info.minor:
+            continue
+        try:
+            done = subprocess.run(
+                [found, "-c", "import sys; print(sys.version_info >= (3, 10))"],
+                capture_output=True, text=True, timeout=30,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        if done.returncode == 0 and done.stdout.strip() == "True":
+            kept.append(found)
+    return kept
+
+
+def test_goldens_keep_their_bytes_under_every_installed_python(tmp_path):
+    """The stdlib is all a command needs, so any Python of the declared
+    range writes the goldens' bytes."""
+    pythons = other_pythons()
+    if not pythons:
+        pytest.skip("no other Python 3.10-3.14 runs here")
+    runs = golden_runs(tmp_path)
+    expected = [f"0 {hashlib.sha256(golden.read_bytes()).hexdigest()}" for golden, _ in runs]
+    for python in pythons:
+        done = subprocess.run(
+            [python, "-c", DIGEST_PROBE, json.dumps([argv for _, argv in runs])],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.stdout.splitlines() == expected, (python, done.stderr)

@@ -1028,3 +1028,186 @@ def test_load_config_reads_outside_the_subset_on_the_pure_loader(
     assert [(name, issubclass(loader, yaml.SafeLoader)) for name, loader in calls] == [
         ("load", True)
     ]
+
+
+# Validation passes against the per-element loops they replaced: each loop
+# below is the check as it was, and each new pass must accept, reject and
+# name the first fault exactly as it does.
+
+
+def built_or_raised(build):
+    """(repr of build()'s value, None), or (None, its exception's class and message)."""
+    try:
+        return repr(build()), None
+    except Exception as exc:  # a bare OverflowError or TypeError is a result too
+        return None, (type(exc), str(exc))
+
+
+def feature_matrix_oracle(platforms, features, values):
+    """FeatureMatrix's grid check as it scanned every cell of every row."""
+    for platform, row in zip(platforms, values):
+        if len(row) != len(features):
+            raise FormatError(
+                f"row for {platform!r} has {len(row)} cells, expected {len(features)}"
+            )
+        for spec, cell in zip(features, row):
+            if cell is not None and not math.isfinite(cell):
+                raise FormatError(f"non-finite value {cell!r} at ({platform!r}, {spec.name!r})")
+    return platforms, features, values
+
+
+# non-finite floats, finite ones whose plain sum overflows, ints beyond the
+# float range, signed zeros, absent cells and cells that are no real number
+GRID_CELLS = st.sampled_from(
+    [math.inf, -math.inf, math.nan, 1.7e308, -1.7e308, 1e308, 10**400, -(10**400), 2**1024,
+     2**1023, -0.0, 0.0, 0, None, 1.5, -3, 5e-324, "x", 1j]
+)
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(st.lists(GRID_CELLS, min_size=m, max_size=m), min_size=1, max_size=5)
+    )
+)
+@example([[1.7e308, 1.7e308, math.inf]])  # the sum is already inf before the inf cell
+@example([[1.7e308, -1.7e308, 1.7e308]])  # finite cells whose running sum overflows
+@example([[1.5, 10**400, math.nan]])  # a nan after an int beyond the float range
+@example([[10**400, -(10**400)]])  # ints beyond the float range whose int sum is 0
+@settings(max_examples=500)
+def test_feature_matrix_checks_rows_as_the_cell_scan_did(rows):
+    platforms = tuple(f"p{i}" for i in range(len(rows)))
+    features = tuple(spec(f"f{j}") for j in range(len(rows[0])))
+    values = tuple(map(tuple, rows))
+    built = built_or_raised(lambda: tuple(FeatureMatrix(platforms, features, values)))
+    assert built == built_or_raised(lambda: feature_matrix_oracle(platforms, features, values))
+
+
+def parse_profiles_oracle(entries):
+    """_parse_profiles as it checked every key and flag of every body."""
+    if entries is None:
+        return {}
+    profiles, layers = {}, ("perception", "modeling", "planning", "execution")
+    for platform, body in ncap.ingest._mapping(entries, "profiles").items():
+        what = f"profile for {platform!r}"
+        flags = {"perception": True, **ncap.ingest._mapping(body, what, (*layers, "evidence"))}
+        evidence = flags.pop("evidence", None)
+        for layer in layers:
+            if not isinstance(flags.get(layer), bool):
+                raise ConfigError(f"{what} needs boolean {layer!r}")
+        evidence = {} if evidence is None else ncap.ingest._mapping(evidence, f"{what}: evidence")
+        evidence = {
+            key: ncap.ingest._utf8(note, f"{what}: evidence for {key!r}")
+            for key, note in evidence.items()
+        }
+        profiles[platform] = ncap.CapabilityProfile(platform=platform, evidence=evidence, **flags)
+    return profiles
+
+
+LAYER_KEYS = ["perception", "modeling", "planning", "execution"]
+# unknown, non-str and non-ASCII keys, and a str key that a non-str one reads as
+ODD_KEYS = ["unknown", "Modeling", "modéling", "é", 1, "1", 1.5, True, None]
+FLAGS = st.sampled_from(
+    [True, False, True, False, None, 1, 0, 1.0, "true", "yes", [], {}, "\ud800"]
+)
+EVIDENCE = st.sampled_from(
+    [None, {}, {"lidar": "x"}, {"lidar": None}, {1: "x", "1": "y"}, {"é": "note"},
+     {"lidar": "\ud800"}, {"lidar": ["x"]}, ["x"], "x", 3]
+)
+
+
+@st.composite
+def profile_bodies(draw):
+    """A valid body (perception optional) with up to three edits: a flag or
+    evidence set to an odd value, an odd key added, a key deleted; or, now
+    and then, no mapping at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from([None, True, "x", ["modeling"], 1]))
+    body = {layer: draw(st.booleans()) for layer in LAYER_KEYS[1:]}
+    if draw(st.booleans()):
+        body["perception"] = draw(st.booleans())
+    for op in draw(st.lists(st.sampled_from(["flag", "evidence", "key", "delete"]), max_size=3)):
+        if op == "flag":
+            body[draw(st.sampled_from(LAYER_KEYS))] = draw(FLAGS)
+        elif op == "evidence":
+            body["evidence"] = draw(EVIDENCE)
+        elif op == "key":
+            body[draw(st.sampled_from(ODD_KEYS))] = draw(FLAGS)
+        elif body:
+            del body[draw(st.sampled_from(sorted(body, key=str)))]
+    return body
+
+
+@given(
+    st.none()
+    | st.sampled_from([[], "x"])
+    | st.dictionaries(st.sampled_from(["p0", "p1", "p2", "é", 7, None]), profile_bodies(),
+                      max_size=4)
+)
+@example({"p0": {"modeling": True, "planning": True, "execution": True, "evidence": None}})
+@example({"p0": {"modeling": True, "planning": True, "execution": 1}})
+@settings(max_examples=1000)
+def test_parse_profiles_reads_as_the_key_by_key_check_did(entries):
+    assert built_or_raised(lambda: ncap.ingest._parse_profiles(entries)) == built_or_raised(
+        lambda: parse_profiles_oracle(entries)
+    )
+
+
+def resolve_mean_oracle(matrix):
+    """resolve_missing(mean)'s fill as it was: per column, a list of the
+    present cells and a list with each None replaced by their mean."""
+    columns = list(zip(*matrix.values))
+    for j, column in enumerate(columns):
+        if None in column:
+            found = [cell for cell in column if cell is not None]
+            try:
+                mean = math.fsum(found) / len(found)
+            except OverflowError:
+                k = len(found).bit_length()
+                mean = math.fsum(math.ldexp(cell, -k) for cell in found) / len(found) * 2.0**k
+            columns[j] = [mean if cell is None else cell for cell in column]
+    return tuple(zip(*columns))
+
+
+@given(
+    st.integers(min_value=1, max_value=5).flatmap(
+        lambda m: st.lists(
+            st.lists(
+                st.none() | st.sampled_from([-0.0, 0.0, 1e308, -1.7e308]) | st.floats(
+                    allow_nan=False, allow_infinity=False
+                ),
+                min_size=m,
+                max_size=m,
+            ),
+            min_size=1,
+            max_size=7,
+        )
+    )
+)
+@settings(max_examples=500)
+def test_resolve_missing_mean_fills_bit_for_bit_as_before(rows):
+    m = matrix_of({f"f{j}": [row[j] for row in rows] for j in range(len(rows[0]))})
+    if any(all(row[j] is None for row in rows) for j in range(len(rows[0]))):
+        return  # a column with no present value is an error under every policy
+    # repr tells -0.0 from 0.0 and writes every float's exact bits
+    resolved = resolve_missing(m, MissingValuePolicy.COLUMN_MEAN).matrix.values
+    assert repr(resolved) == repr(resolve_mean_oracle(m))
+
+
+READER_WORDS = [*ncap.ingest._WORDS, "tRue", "nulls", "~~", "yes", "Off", "true:", "-", "'~'"]
+
+
+@pytest.mark.parametrize("sequence", [False, True], ids=["mapping", "sequence"])
+def test_reader_words_read_as_yaml_load_reads_them(sequence):
+    """Each mapping value or sequence entry that is a word of true, false or
+    null, or a near miss, alone or with spaces or a comment after it."""
+    for word in READER_WORDS:
+        for tail in ("", " ", "  # c", " #c"):
+            text = f"- {word}{tail}\n- x\n" if sequence else f"k: {word}{tail}\nz: x\n"
+            try:
+                expected = repr(yaml.load(text, Loader=yaml.SafeLoader))
+            except yaml.YAMLError:
+                expected = None
+            value, error = read_subset(text)
+            assert (repr(value), error) in ((expected, None), ("None", OUTSIDE)), text
+            if expected is not None:
+                assert repr(ncap.ingest._yaml_value(text)) == expected
