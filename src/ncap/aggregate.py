@@ -55,7 +55,11 @@ class WeightVector(_WeightVector):
         if not weights:
             raise DimensionError("weight vector must not be empty")
         for w in weights:
-            if not (math.isfinite(w) and w >= 0):
+            try:
+                valid = math.isfinite(w) and w >= 0
+            except (OverflowError, TypeError):  # an int beyond the float range, or no real
+                valid = False
+            if not valid:
                 raise DomainError(f"weights must be finite and non-negative, got {w!r}")
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-9:
@@ -70,7 +74,16 @@ class WeightVector(_WeightVector):
 
     @classmethod
     def user_defined(cls, weights: Sequence[float]) -> "WeightVector":
-        return cls(tuple(float(w) for w in weights))
+        return cls(tuple(map(_float_or_as_is, weights)))
+
+
+def _float_or_as_is(value):
+    """float(value), or the value itself where float() refuses it, for the
+    weight check to name."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return value
 
 
 class _ScoreTable(NamedTuple):

@@ -38,9 +38,17 @@ class NcapCoordinate(_NcapCoordinate):
     _make = classmethod(checked_make)
 
     def __new__(cls, platform: str, x: float, y: float, method: str):
-        if float(x) not in _VALID_LEVELS:
+        try:  # a str or an int beyond the float range equals no level; isfinite refuses a complex
+            level = x in _VALID_LEVELS and math.isfinite(x)
+        except TypeError:
+            level = False
+        if not level:
             raise DomainError(f"autonomy level must be one of 0..3, got {x!r}")
-        if not math.isfinite(y):
+        try:
+            finite = math.isfinite(y)
+        except (OverflowError, TypeError):  # an int beyond the float range, or no real
+            finite = False
+        if not finite:
             raise DomainError(f"performance score must be finite, got {y!r}")
         return super().__new__(cls, platform, x, y, method)
 

@@ -206,11 +206,16 @@ class FeatureMatrix(_FeatureMatrix):
                     continue
             except (ArithmeticError, TypeError):  # a huge int or a cell that is no number
                 pass
-            if not all(map(math.isfinite, compress(row, map(is_not, row, repeat(None))))):
-                spec, cell = next(
-                    (s, c) for s, c in zip(features, row) if c is not None and not math.isfinite(c)
-                )
-                raise FormatError(f"non-finite value {cell!r} at ({platform!r}, {spec.name!r})")
+            for spec, cell in zip(features, row):  # name the first cell that is no finite real
+                try:
+                    if cell is None or math.isfinite(cell):
+                        continue
+                    problem = "non-finite value"
+                except OverflowError:
+                    problem = "value beyond the float range"
+                except TypeError:
+                    problem = "non-real value"
+                raise FormatError(f"{problem} {cell!r} at ({platform!r}, {spec.name!r})")
         return super().__new__(cls, platforms, features, values)
 
     @property
@@ -250,10 +255,13 @@ class EvalConfig(NamedTuple):
 
 def load_config(path: str | Path) -> EvalConfig:
     """Load and validate an evaluation config from a YAML file."""
-    try:
-        raw = _yaml_value(read_utf8(path, ConfigError))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    text = read_utf8(path, ConfigError)
+    raw, profiles = _canonical_profiles(text)
+    if raw is None:
+        try:
+            raw = _yaml_value(text)
+        except ValueError as exc:
+            raise ConfigError(f"cannot parse config {path}: {exc}") from None
     raw = _mapping(raw, f"config {path}", ("features", "weights", "missing", "profiles"))
 
     features = _parse_feature_specs(raw.get("features"))
@@ -275,7 +283,8 @@ def load_config(path: str | Path) -> EvalConfig:
     if missing is not None:
         missing = _choice(MissingValuePolicy, missing, "missing policy")
 
-    profiles = _parse_profiles(raw.get("profiles"))
+    if profiles is None:
+        profiles = _parse_profiles(raw.get("profiles"))
     return EvalConfig(features=features, weights=weights, missing=missing, profiles=profiles)
 
 
@@ -420,6 +429,48 @@ def _subset_value(text: str):
     if reader.row is not None:
         raise _Outside
     return value
+
+
+# a top-level profiles block in the layout a generator writes: per entry an
+# id row, then its three layer flags in order, each row ending in "\n". The
+# key's pattern looks at the first id row: a config whose profiles start in
+# another layout never compiles the entry patterns, compiled (and cached by
+# re) on first use
+_PROFILES_KEY = re.compile(r"^profiles:\n(?=  [A-Za-z][A-Za-z0-9_]*:\n)", re.M)
+_PROFILE = (
+    rf"  ([A-Za-z][A-Za-z0-9_]{{0,{_KEY_SPAN - 1}}}):\n    modeling: (true|false)\n"
+    r"    planning: (true|false)\n    execution: (true|false)\n"
+)
+# the same entries without groups, which match in half the time
+_PROFILE_BLOCK = f"(?:{_PROFILE.replace('(', '(?:')})+"
+
+
+def _canonical_profiles(text: str):
+    """(The value the line reader gives the text, with its profiles null, and
+    the profiles) when the text's profiles block is in that layout: the block
+    is read in one pass, to the values the reader would give it, and the rest
+    by the reader. (None, None) for any other text, which is read whole."""
+    key = _PROFILES_KEY.search(text)
+    block = key and re.compile(_PROFILE_BLOCK).match(text, key.end())
+    # the block must end where the entries do: at the end of the text or at
+    # a row that starts at column 0 (which no dash, comment or blank row does)
+    if not block or text[block.end() : block.end() + 1] in (" ", "#", "-", "\n"):
+        return None, None
+    entries = re.compile(_PROFILE).findall(text, key.end(), block.end())
+    profiles = {
+        platform: CapabilityProfile(platform, m == "true", p == "true", e == "true", True, {})
+        for platform, m, p, e in entries
+    }
+    ids = profiles.keys()
+    if len(ids) < len(entries) or not (ids.isdisjoint(_WORDS) and ids.isdisjoint(_YAML11_BOOLS)):
+        return None, None  # a repeated id, or one that YAML reads as no text
+    # the key row stays, now with no value: the reader reads it as a key of a
+    # top-level mapping, where another profiles key is a repeat, or leaves
+    # rows unread; so a text it reads is a mapping with profiles null
+    try:
+        return _subset_value(text[: key.end()] + text[block.end() :]), profiles
+    except (_Outside, RecursionError):
+        return None, None
 
 
 class _LineReader:

@@ -70,6 +70,21 @@ class TestWeightVector:
             WeightVector.uniform(0)
         assert (raised.type, str(raised.value)) == (DimensionError, "need at least one feature")
 
+    @pytest.mark.parametrize(
+        "build, value",
+        [
+            (lambda: WeightVector.user_defined(["a", 1]), "a"),  # which float() refuses
+            (lambda: WeightVector.user_defined([10**400, 1]), 10**400),  # beyond the float range
+            (lambda: WeightVector(("a",)), "a"),  # no real number
+            (lambda: WeightVector((1j,)), 1j),
+        ],
+        ids=["str_to_user_defined", "huge_int", "str", "complex"],
+    )
+    def test_a_weight_that_is_no_finite_real_is_named(self, build, value):
+        with pytest.raises(DomainError) as raised:
+            build()
+        assert str(raised.value) == f"weights must be finite and non-negative, got {value!r}"
+
 
 class TestWeightedSum:
     def test_two_feature_example(self):

@@ -22,6 +22,11 @@ A fixed-seed batch of mutated matrices and profile bodies also runs in
 fresh interpreters under two PYTHONHASHSEED values, which must print the
 same exit codes, stdout and stderr: the first fault each input holds is
 named the same way whatever order a set or a dict of str would take.
+
+A config that bench/cohort.py generates, as it is or with one row of its
+profiles block edited, gives level, distance and score the same outcome
+as the same text with a comment after its `profiles:` key, which the
+one-pass profiles read never takes.
 """
 
 import contextlib
@@ -30,6 +35,7 @@ import json
 import random
 import re
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -38,6 +44,9 @@ from hypothesis import given, settings, strategies as st
 import ncap.ingest
 from ncap.cli import main
 from test_dependencies import NO_PYYAML, _child
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from cohort import CohortSpec, generate  # noqa: E402
 
 TOKENS = ["-", "N/A", "nan", "inf", "1e308", "5e-324", "-0", "0", "-3", "zzz",
           '"', "\ufeff", "\x00", "\r"]
@@ -358,3 +367,83 @@ def test_mutated_inputs_fail_alike_under_two_hash_seeds(
     assert runs[0] == runs[1]
     codes = [code for code, _, _ in runs[0]]
     assert set(codes) == {0, 1}, codes  # the batch holds both accepted and rejected inputs
+
+
+LAYOUT_EDITS = ["none", "duplicate_id", "id_yes", "id_On", "id_null", "id_123", "id_x y",
+                "perception_row", "swapped_layers", "flag_1", "flag_yes", "trailing_space",
+                "comment_row", "comment_row_at_column_0", "second_profiles_key", "keys_indented",
+                "block_first"]
+
+
+def edit_profiles(lines, edit, k):
+    """One edit of a generated profiles block, most of them at the entry
+    whose id row is lines[k]; the next entry's id row is lines[k + 4]."""
+    key = lines.index("profiles:")
+    if edit == "duplicate_id":
+        lines[k + 4] = lines[k]
+    elif edit.startswith("id_"):
+        lines[k] = f"  {edit[3:]}:"
+    elif edit == "perception_row":
+        lines.insert(k + 1, "    perception: true")
+    elif edit == "swapped_layers":
+        lines[k + 1], lines[k + 2] = lines[k + 2], lines[k + 1]
+    elif edit == "flag_1":
+        lines[k + 2] = "    planning: 1"
+    elif edit == "flag_yes":
+        lines[k + 3] = "    execution: yes"
+    elif edit == "trailing_space":
+        lines[k + 1] += " "
+    elif edit == "comment_row":
+        lines.insert(k + 1, "    # a note")
+    elif edit == "comment_row_at_column_0":
+        lines.insert(k + 4, "# a note")
+    elif edit == "second_profiles_key":
+        lines.extend(["profiles:", *lines[k:k + 4]])
+    elif edit == "keys_indented":  # top-level keys that yaml.load refuses
+        lines[:key] = ["  " + line for line in lines[:key]]
+    elif edit == "block_first":
+        lines[:] = lines[key:-1] + lines[:key] + [""]
+
+
+LAYOUT_COHORTS = [
+    CohortSpec(n=6, m=3, missing="mean", missing_frac=0.1, integer_max=5, token_column=True,
+               config_weights=True),
+    CohortSpec(n=4, m=2, missing="exclude", missing_frac=0.2, config_weights=True),
+]
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("edit", LAYOUT_EDITS)
+@given(cohort=st.sampled_from(LAYOUT_COHORTS), entry=st.integers(0, 2), seed=st.integers(0, 9))
+@settings(max_examples=6, deadline=None)
+def test_generated_profiles_read_in_one_pass_as_read_whole(workdir, edit, crlf, cohort, entry,
+                                                           seed):
+    """A generated config, or one with a single-row edit of its profiles
+    block, gives level, distance and score the same exit code, stdout and
+    stderr, with PyYAML and without it, as the same text with " # x" after
+    its profiles key: a text the one-pass profiles read never takes, and
+    whose every other line and column is where it was."""
+    matrix_csv, text = generate(cohort, seed)
+    lines = text.split("\n")
+    first = lines.index("profiles:") + 1
+    edit_profiles(lines, edit, first + 4 * entry)
+    text = ("\r\n" if crlf else "\n").join(lines)
+    whole = re.sub("^profiles:", "profiles: # x", text, count=1, flags=re.M)
+    assert ncap.ingest._canonical_profiles(whole) == (None, None)
+    if edit == "none" and not crlf:
+        assert ncap.ingest._canonical_profiles(text)[1]
+    matrix, config = workdir / "layout.csv", workdir / "layout.yaml"
+    matrix.write_text(matrix_csv, "utf-8")
+    argvs = [["level", "--config", str(config), "--format", "csv"]] + [
+        [command, "--matrix", str(matrix), "--config", str(config), "--weights", "config",
+         "--format", "csv"] for command in ("distance", "score")
+    ]
+    for pyyaml in (True, False):
+        outcomes = []
+        for body in (text, whole):
+            config.write_bytes(body.encode("utf-8"))
+            with pytest.MonkeyPatch.context() as patch:
+                if not pyyaml:
+                    patch.setitem(sys.modules, "yaml", None)
+                outcomes.append([run(argv) for argv in argvs])
+        assert outcomes[0] == outcomes[1]

@@ -69,6 +69,25 @@ def test_coordinate_validation():
         coord("X", 1.0, float("nan"))
 
 
+@pytest.mark.parametrize(
+    "x, y, message",
+    [
+        ("1", 1.0, "autonomy level must be one of 0..3, got '1'"),
+        (10**400, 1.0, f"autonomy level must be one of 0..3, got {10**400!r}"),
+        (1 + 0j, 1.0, "autonomy level must be one of 0..3, got (1+0j)"),
+        (1, 10**400, f"performance score must be finite, got {10**400!r}"),
+        (1, "0.5", "performance score must be finite, got '0.5'"),
+    ],
+    ids=["str_level", "huge_int_level", "complex_level", "huge_int_score", "str_score"],
+)
+def test_a_coordinate_that_no_distance_can_read_is_refused(x, y, message):
+    """Rejected at construction, where autonomy_distance would raise a bare
+    TypeError or OverflowError later."""
+    with pytest.raises(DomainError) as raised:
+        coord("X", x, y)
+    assert str(raised.value) == message
+
+
 def test_select_reference_benchmark():
     assert select_reference(sum_coords()) == "UAS E"
 

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 from collections.abc import Hashable
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -1044,15 +1045,26 @@ def built_or_raised(build):
 
 
 def feature_matrix_oracle(platforms, features, values):
-    """FeatureMatrix's grid check as it scanned every cell of every row."""
+    """FeatureMatrix's grid check as it scanned every cell of every row. A
+    cell that math.isfinite refuses is named too: an int beyond the float
+    range or a cell that is no real number."""
     for platform, row in zip(platforms, values):
         if len(row) != len(features):
             raise FormatError(
                 f"row for {platform!r} has {len(row)} cells, expected {len(features)}"
             )
         for spec, cell in zip(features, row):
-            if cell is not None and not math.isfinite(cell):
-                raise FormatError(f"non-finite value {cell!r} at ({platform!r}, {spec.name!r})")
+            if cell is None:
+                continue
+            try:
+                if math.isfinite(cell):
+                    continue
+                problem = "non-finite value"
+            except OverflowError:
+                problem = "value beyond the float range"
+            except TypeError:
+                problem = "non-real value"
+            raise FormatError(f"{problem} {cell!r} at ({platform!r}, {spec.name!r})")
     return platforms, features, values
 
 
@@ -1080,6 +1092,17 @@ def test_feature_matrix_checks_rows_as_the_cell_scan_did(rows):
     values = tuple(map(tuple, rows))
     built = built_or_raised(lambda: tuple(FeatureMatrix(platforms, features, values)))
     assert built == built_or_raised(lambda: feature_matrix_oracle(platforms, features, values))
+
+
+@pytest.mark.parametrize(
+    "cell, problem",
+    [(10**400, "value beyond the float range"), ("x", "non-real value"), (1j, "non-real value")],
+    ids=["huge_int", "str", "complex"],
+)
+def test_a_cell_that_is_no_finite_real_is_named(cell, problem):
+    with pytest.raises(FormatError) as raised:
+        FeatureMatrix(("p",), (spec("f"),), ((cell,),))
+    assert str(raised.value) == f"{problem} {cell!r} at ('p', 'f')"
 
 
 def parse_profiles_oracle(entries):
@@ -1211,3 +1234,33 @@ def test_reader_words_read_as_yaml_load_reads_them(sequence):
             assert (repr(value), error) in ((expected, None), ("None", OUTSIDE)), text
             if expected is not None:
                 assert repr(ncap.ingest._yaml_value(text)) == expected
+
+
+def read_whole(text):
+    """_canonical_profiles declining every text, so that each is read whole."""
+    return None, None
+
+
+def test_generated_configs_take_the_one_pass_profiles_read(tmp_path, monkeypatch,
+                                                           benchmark_config_path):
+    """The configs that bench/cohort.py writes for the cohort workloads and a
+    10^4-profile cohort read their profiles in one pass, into the config the
+    whole read gives; the bundled config, whose profiles carry evidence, is
+    read whole."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from cohort import generate
+    from run import WORKLOADS
+
+    specs = [WORKLOADS[name].cohort for name in ("cohort-tall", "cohort-wide-exclude")]
+    specs.append(replace(specs[0], n=10_000))
+    for k, cohort in enumerate(specs):
+        path = tmp_path / f"c{k}.yaml"
+        path.write_text(generate(cohort, 7)[1], "utf-8")
+        raw, profiles = ncap.ingest._canonical_profiles(path.read_text("utf-8"))
+        assert raw["profiles"] is None and len(profiles) == cohort.n
+        taken = load_config(path)
+        with monkeypatch.context() as patch:
+            patch.setattr(ncap.ingest, "_canonical_profiles", read_whole)
+            assert repr(load_config(path)) == repr(taken)
+    text = benchmark_config_path.read_text("utf-8")
+    assert ncap.ingest._canonical_profiles(text) == (None, None)
