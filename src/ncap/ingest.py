@@ -15,7 +15,6 @@ the cell and renormalize that platform's weights downstream.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 import re
@@ -289,90 +288,50 @@ def load_config(path: str | Path) -> EvalConfig:
 
 
 def _yaml_value(text: str):
-    """The value yaml.load gives. A text outside the line reader's subset is
-    read by yaml.load from PyYAML, an optional dependency; a YAML error
-    becomes a ValueError with its line, column and problem, and so do, without
-    a place, nesting too deep to read and such a text where PyYAML is absent."""
+    """The value yaml.load gives a text in the line reader's subset of YAML:
+    block mappings and sequences, flow collections on one row, plain and
+    quoted scalars without escapes or line breaks, and comments, with no key
+    repeated in a mapping. Any other text raises a ValueError that names its
+    line, column and problem, or only the problem for nesting too deep."""
+    # one C-level pass on an accepted config: only a character Python does not
+    # print (a tab, a BOM, a break other than "\n", one YAML refuses) costs more
+    if not text.replace("\n", "").isprintable():
+        text = _BREAKS.sub("\n", text)  # which keeps each line and column
+        odd = re.compile(_UNACCEPTABLE).search(text) or _TAB_OR_BOM.search(text)  # YAML's first
+        if odd:
+            problem = "unacceptable character #x%04x: special characters are not allowed"
+            _fail(text, odd.start(), _CONSTRUCTS.get(odd[0], problem % ord(odd[0])))
+    gate = text.startswith(("---", "...", "%")) or "\n---" in text or "\n..." in text
+    if (gate or "\n%" in text) and (marker := _MARKER.search(text)):
+        problem = _CONSTRUCTS.get(marker[0], "ncap does not read a document marker")
+        _fail(text, marker.start(), problem)
+    reader = _LineReader(text)
     try:
-        try:
-            return _subset_value(text)
-        except _Outside:
-            return _yaml_load(text)
+        value = None if reader.row is None else reader.block(reader.row[0])
     except RecursionError:  # a valid config nests four collections deep at most
         raise ValueError("collections nest too deeply") from None
+    if reader.row is not None:  # a row that no block above it reads
+        reader.misplaced()
+    return value
 
 
-def _yaml_load(text: str):
-    try:
-        import yaml
-    except ImportError:  # the reader keeps no place, so the message names none
-        raise ValueError(
-            "it uses YAML beyond ncap's own reader, which needs PyYAML (pip install 'ncap[yaml]')"
-        ) from None
-    try:
-        return yaml.load(text, Loader=_loader())
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        raise ValueError(f"line {mark.line + 1}, column {mark.column + 1}: {exc.problem}") from None
+def _fail(text: str, at: int, problem: str):
+    """Raise ``problem`` at text[at], placed as YAML places it (BOMs take no column)."""
+    start = text.rfind("\n", 0, at) + 1
+    line, column = text.count("\n", 0, start) + 1, at - start - text.count("\ufeff", start, at) + 1
+    raise ValueError(f"line {line}, column {column}: {problem}")
 
 
-@functools.cache
-def _loader():
-    """PyYAML's pure-Python safe loader, failing at the start of a scalar it
-    cannot build (2021-13-01, !!bool x), of a key repeated in one mapping and
-    at a character YAML does not accept."""
-    from collections.abc import Hashable
-
-    from yaml import MarkedYAMLError, SafeLoader
-    from yaml.constructor import ConstructorError
-    from yaml.reader import ReaderError
-
-    class Loader(SafeLoader):
-        def __init__(self, stream):
-            super().__init__(stream)
-            self.flattened = set()
-
-        def check_printable(self, data):
-            try:
-                super().check_printable(data)
-            except ReaderError as exc:  # which has no mark: move the reader to it
-                self.buffer = data + "\0"
-                self.forward(exc.position)
-                problem = str(exc).partition("\n")[0]
-                raise MarkedYAMLError(None, None, problem, self.get_mark()) from None
-
-        def construct_object(self, node, deep=False):
-            try:
-                return super().construct_object(node, deep)
-            except ValueError as exc:
-                raise ConstructorError(None, None, str(exc), node.start_mark) from None
-            except (KeyError, AttributeError):  # "!!bool" or "!!timestamp" on other text
-                problem = f"{node.value!r} is not a {node.tag.rpartition(':')[2]}"
-                raise ConstructorError(None, None, problem, node.start_mark) from None
-
-        def flatten_mapping(self, node):
-            # a mapping is flattened before it is built or merged, and the first
-            # time moves the keys that "<<" merges in, so its own are checked then
-            if node in self.flattened:
-                return
-            self.flattened.add(node)
-            keys = [key for key, _ in node.value if key.tag != "tag:yaml.org,2002:merge"]
-            super().flatten_mapping(node)  # which makes a value key "=" a str
-            seen = set()
-            for key_node in keys:
-                key = self.construct_object(key_node)
-                if not isinstance(key, Hashable):  # which the constructor rejects
-                    continue
-                if key in seen:
-                    raise ConstructorError(None, None, f"repeated key {key!r}", key_node.start_mark)
-                seen.add(key)
-
-    return Loader
-
-
-class _Outside(Exception):
-    """The text holds YAML that the line reader leaves to yaml.load."""
-
+# YAML's line breaks; the characters it refuses (compiled on first use: 1 ms); two ncap does
+_BREAKS = re.compile("\r\n?|[\x85\u2028\u2029]")
+_UNACCEPTABLE = "[\x00-\x08\x0b\x0c\x0e-\x1f\x7f-\x84\x86-\x9f\ud800-\udfff\ufffe\uffff]"
+_TAB_OR_BOM = re.compile("[\t\ufeff]")
+_MARKER = re.compile(r"^(?:(?:---|\.\.\.)(?= |$)|%)", re.M)
+# the problem of a node that starts with one of these characters
+_CONSTRUCTS = {char: f"ncap does not read {name}" for char, name in (
+    ("&", "an anchor"), ("*", "an alias"), ("!", "a tag"), ("|", "a block scalar"),
+    (">", "a block scalar"), ("%", "a directive"), ("?", "a '?' key"), ("\t", "a tab"),
+    ("\ufeff", "a byte-order mark"))}
 
 # a plain scalar starts with no indicator and no space, or with "-" before a
 # character that is neither space, ":" nor a flow indicator
@@ -385,50 +344,27 @@ _QUOTE = r"'[^'\n]*'" r'|"[^"\\\n]*"'  # a quoted scalar without escapes
 _ROW = re.compile(
     rf"^( *)(?=[^ \n#])((?:-(?: +|$))*)(?:({_QUOTE}|{_START}[^:\n]*)(:(?: +|$)))?([^\n]*)", re.M
 )
-_QUOTED = re.compile(rf"({_QUOTE})(?: +#.*)?$")
-_FLOW_SCALAR = re.compile(rf"""({_QUOTE})|({_START}[^,\[\]{{}}#:?'"]*)""")
+_FLOW_PLAIN = re.compile(rf"""{_START}[^,\[\]{{}}#:?'"]*""")
 _SPACES = re.compile(" *")
 _COMMENT = re.compile(" +#")
-# the longest key read here, well below the 1024 characters that both
-# parsers allow a key before its colon
+_VALUE = re.compile(":(?: |$)")
+# the longest key read here, well below the 1024 characters YAML allows one
 _KEY_SPAN = 200
 
 # plain scalars the line reader builds: ints and floats as YAML 1.1
-# writes them in decimal, true/false and null in the forms it resolves
+# writes them in decimal, its booleans and null in the forms it resolves
 _INT = re.compile(r"[-+]?(?:0|[1-9][0-9]{0,17})")
 _FLOAT = re.compile(r"[-+]?[0-9]+\.[0-9]*(?:[eE][-+][0-9]+)?|\.[0-9]+(?:[eE][-+][0-9]+)?")
 _WORDS = {
-    **dict.fromkeys(("true", "True", "TRUE"), True),
-    **dict.fromkeys(("false", "False", "FALSE"), False),
+    **dict.fromkeys(("true", "True", "TRUE", "yes", "Yes", "YES", "on", "On", "ON"), True),
+    **dict.fromkeys(("false", "False", "FALSE", "no", "No", "NO", "off", "Off", "OFF"), False),
     **dict.fromkeys(("null", "Null", "NULL", "~"), None),
 }
-# a plain scalar not in _WORDS is text unless it is another YAML 1.1 boolean,
-# or starts with a character that keys PyYAML's resolvers for numbers, dates,
-# "<<" and "=" and matches _NOT_TEXT, a superset of what they resolve
+# a plain scalar not in _WORDS is text unless it starts with a character
+# that keys PyYAML's resolvers for numbers, dates, "<<" and "=" and matches
+# _NOT_TEXT, a superset of what they resolve
 _RESOLVED = frozenset("-+.0123456789<=")
 _NOT_TEXT = re.compile(r"[-+]?(?:0[bx][0-9a-fA-F_]*|\.[iInN][nNaA][fFnN]|[0-9_.:eE+\-tTZ ]*)|<<|=")
-_YAML11_BOOLS = frozenset(
-    ("yes", "Yes", "YES", "no", "No", "NO", "on", "On", "ON", "off", "Off", "OFF")
-)
-
-
-def _subset_value(text: str):
-    """The value yaml.load gives a text in the line reader's subset: block
-    mappings and sequences (including "- key: value" entries), one-line flow
-    mappings and sequences of scalars, plain and quoted scalars without
-    escapes or line breaks, and comments, with no key repeated in a mapping.
-    Raises _Outside for any other text."""
-    # a document start or end marker sends the text to yaml.load, and so does
-    # a character Python does not print: a tab, a line break other than "\n",
-    # a byte-order mark, a surrogate and every character PyYAML refuses
-    marker = text.startswith(("---", "...")) or "\n---" in text or "\n..." in text
-    if marker or not text.replace("\n", "").isprintable():
-        raise _Outside
-    reader = _LineReader(text)
-    value = None if reader.row is None else reader.block(reader.row[0])
-    if reader.row is not None:
-        raise _Outside
-    return value
 
 
 # a top-level profiles block in the layout a generator writes: per entry an
@@ -462,30 +398,44 @@ def _canonical_profiles(text: str):
         for platform, m, p, e in entries
     }
     ids = profiles.keys()
-    if len(ids) < len(entries) or not (ids.isdisjoint(_WORDS) and ids.isdisjoint(_YAML11_BOOLS)):
+    if len(ids) < len(entries) or not ids.isdisjoint(_WORDS):
         return None, None  # a repeated id, or one that YAML reads as no text
     # the key row stays, now with no value: the reader reads it as a key of a
     # top-level mapping, where another profiles key is a repeat, or leaves
     # rows unread; so a text it reads is a mapping with profiles null
     try:
-        return _subset_value(text[: key.end()] + text[block.end() :]), profiles
-    except (_Outside, RecursionError):
+        return _yaml_value(text[: key.end()] + text[block.end() :]), profiles
+    except ValueError:  # read whole, so that the error names the file's own line
         return None, None
 
 
 class _LineReader:
-    """One pass of the line reader over a text, a row at a time: ``row`` is
-    the current row (None past the last). An indent is its run of spaces;
-    such runs compare as their lengths do. Nothing outlives the pass."""
+    """One pass of the line reader over a text, a row at a time: ``row`` holds
+    the groups of ``match``, the current row's _ROW match (None past the last).
+    An indent is its run of spaces; such runs compare as their lengths do."""
 
     def __init__(self, text: str):
+        self.text = text
         self.keys = {}  # each plain key read as text, so that a key met again is one object
-        self.rows = map(re.Match.groups, _ROW.finditer(text))
-        self.row = next(self.rows, None)
+        self.matches = _ROW.finditer(text)
+        self.advance()
+
+    def advance(self):
+        self.match = next(self.matches, None)
+        self.row = self.match and self.match.groups()
+
+    def fail(self, problem: str, at: int = 0, group: int = 5):
+        """Raise ``problem`` ``at`` characters into the current row's ``group``."""
+        _fail(self.text, self.match.start(group) + at, problem)
 
     def block(self, indent: str):
-        """The block node whose first row, the current one, sits at ``indent``."""
-        return self.sequence(indent) if self.row[1] else self.mapping(indent)
+        """The node whose first row, the current one, sits at ``indent``."""
+        _, dashes, key, _, rest = self.row
+        if dashes or key or rest[0] not in "[{":
+            return self.sequence(indent) if dashes else self.mapping(indent)
+        value = self.inline(rest)
+        self.advance()
+        return value
 
     def nested(self, indent: str, indentless: bool):
         """The value of an entry at ``indent`` with nothing after its indicator:
@@ -504,17 +454,15 @@ class _LineReader:
                 break
             inner = dashes[1:].lstrip(" ")
             column = indent + " " * (len(dashes) - len(inner))
-            if inner or key:
-                # a compact sequence or mapping: the rest of the row is its first row
+            if inner or key:  # a compact sequence or mapping: the rest is its first row
                 self.row = (column, inner, key, colon, rest)
                 items.append(self.block(column))
-                continue
-            self.row = next(self.rows, None)
-            if rest in _WORDS:
-                items.append(_WORDS[rest])
+            elif rest and rest[0] != "#":  # a value, not a comment, after the "-"
+                items.append(_WORDS[rest] if rest in _WORDS else self.inline(rest))
+                self.advance()
             else:
-                on_row = rest and rest[0] != "#"  # a value, not a comment, after the "-"
-                items.append(self.inline(rest) if on_row else self.nested(indent, False))
+                self.advance()
+                items.append(self.nested(indent, False))
         return items
 
     def mapping(self, indent: str) -> dict:
@@ -524,128 +472,165 @@ class _LineReader:
             if at_indent != indent:
                 break
             if dashes or not key or key[-1] == " " or len(key) > _KEY_SPAN:
-                raise _Outside
+                self.no_key(not out)
             if key[0] == "'" or key[0] == '"':
                 key = key[1:-1]
             elif key in self.keys:
                 key = self.keys[key]
             elif " #" in key:  # a comment, not a key
-                raise _Outside
+                self.no_key(not out)
             else:
-                text, key = key, self.scalar(key)
+                text, key = key, self.scalar(key, 0, 3)
                 if type(key) is str:
                     self.keys[text] = key
             if key in out:
-                raise _Outside
-            self.row = next(self.rows, None)
-            if rest in _WORDS:
-                out[key] = _WORDS[rest]
-            elif rest and rest[0] != "#":
-                out[key] = self.inline(rest)
+                self.fail(f"repeated key {key!r}", 0, 3)
+            if rest and rest[0] != "#":
+                out[key] = _WORDS[rest] if rest in _WORDS else self.inline(rest)
+                self.advance()
             else:
+                self.advance()
                 out[key] = self.nested(indent, True)
         return out
 
+    def no_key(self, first: bool):
+        """Raise the problem of the current row, no "key: value" row (its mapping's ``first``)."""
+        if self.row[1]:
+            self.fail("expected 'key:', but found '-'", 0, 2)
+        group = 3 if self.row[2] else 5
+        text = self.text[self.match.start(group) : self.match.end()]
+        end = self.quoted(text, 0)[1] if text[0] in "'\"" else 0  # raises for an escape or a break
+        colon = _VALUE.search(text[:end] + text[end:].partition(" #")[0], end)
+        problem = (  # a key that starts with an indicator, holds ": ", is long or ends in " "
+            _CONSTRUCTS.get(text[0])
+            or colon and f"ncap does not read the key {text[: colon.start()]!r}"
+            or first and "ncap does not read a scalar on a row of its own"  # below a key or "-"
+        )
+        self.fail(problem or "could not find expected ':'", 0, group)
+
+    def misplaced(self):
+        """Raise the problem of the current row, at an indent that no block reads."""
+        previous = [None, *_ROW.finditer(self.text, 0, self.match.start())][-1]
+        plain = previous and len(self.row[0]) > len(previous[1]) and previous[5][:1] not in "#'\"[{"
+        problem = "a scalar over several lines" if plain else "a row at this indent"
+        self.fail(f"ncap does not read {problem}", 0, 2)
+
     def inline(self, text: str):
-        """The scalar or one-line flow collection that ``text``, the rest of
-        the row, holds, with at most a trailing comment."""
+        """The scalar or flow collection in ``text``, the row's rest, and a comment."""
         text = text.rstrip(" ")
         first = text[0]
-        if first == "'" or first == '"':
-            match = _QUOTED.match(text)
-            if match is None:
-                raise _Outside
-            return match[1][1:-1]
-        if first == "[" or first == "{":
-            return self.flow(text)
+        if first in "'\"[{":
+            value, end = self.quoted(text, 0) if first in "'\"" else self.flow(text, 0)
+            if end < len(text) and not _COMMENT.match(text, end):
+                self.fail("ncap does not read text after a quoted scalar or flow collection", end)
+            return value
         if first in _INDICATORS and (first != "-" or text[1:2] in _AFTER_DASH):
-            raise _Outside
+            self.fail(_CONSTRUCTS.get(first) or f"ncap does not read a value starting {first!r}")
         text = text.partition(" #")[0].rstrip(" ")
-        if ": " in text or text[-1] == ":":
-            raise _Outside
-        return self.scalar(text)
+        colon = (text + " ").find(": ")  # a ": " or a ":" that ends the value
+        if colon >= 0 and self.row[1]:  # after "- ", the key of a compact mapping
+            self.fail(f"ncap does not read the key {text[:colon]!r}")
+        if colon >= 0:
+            self.fail("mapping values are not allowed here", colon)
+        return self.scalar(text, 0)
 
-    def flow(self, text: str):
-        """The one-line flow sequence or mapping of scalars that ``text`` holds."""
-        mapping = text[0] == "{"
+    def quoted(self, text: str, at: int):
+        """The quoted scalar at text[at] in the rest of the row, and where it ends."""
+        end = text.find(text[at], at + 1)
+        if end < 0:
+            self.fail("ncap does not read a quoted scalar over several lines", at)
+        doubled = end if text.startswith("'", end + 1) else -1  # the one escape of '...'
+        escape = text.find("\\", at, end) if text[at] == '"' else doubled
+        if escape >= 0:
+            self.fail("ncap does not read an escape", escape)
+        return text[at + 1 : end], end + 1
+
+    def flow(self, text: str, at: int):
+        """The flow sequence or mapping at text[at] of the row's rest, and its end."""
+        mapping = text[at] == "{"
         close, items = ("}", {}) if mapping else ("]", [])
-        at = _SPACES.match(text, 1).end()
+        at = _SPACES.match(text, at + 1).end()
         if text.startswith(close, at):
-            at += 1
+            return items, at + 1
+        while True:
+            start = at
+            value, at = self.flow_node(text, at)
+            if mapping:
+                if not text.startswith(": ", at):
+                    self.flow_fail(text, at)
+                if type(value) is list or type(value) is dict or at - start > _KEY_SPAN:
+                    self.fail(f"ncap does not read the key {text[start:at].rstrip(' ')!r}", start)
+                if value in items:
+                    self.fail(f"repeated key {value!r}", start)
+                key, at = value, _SPACES.match(text, at + 2).end()
+                end = text[at : at + 1] in (",", "}")  # a key with no value
+                value, at = (None, at) if end else self.flow_node(text, at)
+                items[key] = value
+            else:
+                items.append(value)
+            if text.startswith(close, at):
+                return items, at + 1
+            if not text.startswith(",", at):
+                self.flow_fail(text, at)
+            at = _SPACES.match(text, at + 1).end()
+
+    def flow_node(self, text: str, at: int):
+        """The node at text[at] inside a flow collection, and where the next token starts."""
+        first = text[at : at + 1]
+        if first == "[" or first == "{":
+            value, at = self.flow(text, at)
+        elif first == "'" or first == '"':
+            value, at = self.quoted(text, at)
         else:
-            while True:
-                start = at
-                value, at = self.flow_scalar(text, at)
-                if mapping:
-                    if not text.startswith(": ", at) or at - start > _KEY_SPAN or value in items:
-                        raise _Outside
-                    key, at = value, _SPACES.match(text, at + 2).end()
-                    value = None
-                    if text[at : at + 1] not in (",", "}"):
-                        value, at = self.flow_scalar(text, at)
-                    items[key] = value
-                else:
-                    items.append(value)
-                if text.startswith(close, at):
-                    at += 1
-                    break
-                if not text.startswith(",", at):
-                    raise _Outside
-                at = _SPACES.match(text, at + 1).end()
-        if at < len(text) and not _COMMENT.match(text, at):
-            raise _Outside
-        return items
+            plain = _FLOW_PLAIN.match(text, at)
+            if plain is None:
+                self.flow_fail(text, at)
+            value, at = self.scalar(plain[0].rstrip(" "), at), plain.end()
+        return value, _SPACES.match(text, at).end()
 
-    def flow_scalar(self, text: str, at: int):
-        """The scalar at text[at] inside a flow collection, and where the next token starts."""
-        match = _FLOW_SCALAR.match(text, at)
-        if match is None:
-            raise _Outside
-        quoted, plain = match.groups()
-        value = quoted[1:-1] if quoted else self.scalar(plain.rstrip(" "))
-        return value, _SPACES.match(text, match.end()).end()
+    def flow_fail(self, text: str, at: int):
+        """Raise the problem of text[at], where a flow collection reads no token."""
+        if at == len(text) or (text[at] == "#" and text[at - 1] == " "):  # it goes on past its row
+            problem = "ncap does not read a flow collection over several lines"
+            _fail(self.text, min(self.match.end() + 1, len(self.text)), problem)  # where it goes on
+        self.fail(_CONSTRUCTS.get(text[at]) or f"ncap does not read {text[at]!r} in a flow", at)
 
-    def scalar(self, text: str):
-        """A plain scalar's value as PyYAML builds it, or _Outside to leave it to yaml.load."""
+    def scalar(self, text: str, at: int, group: int = 5):
+        """A plain scalar's value as PyYAML builds it; it starts ``at`` in ``group``."""
         if text in _WORDS:
             return _WORDS[text]
-        if text[0] not in _RESOLVED and text not in _YAML11_BOOLS:
+        if text[0] not in _RESOLVED:
             return text
         if _INT.fullmatch(text):
             return int(text)
         if _FLOAT.fullmatch(text):
             return float(text)
-        if text in _YAML11_BOOLS or _NOT_TEXT.fullmatch(text):
-            raise _Outside
+        if _NOT_TEXT.fullmatch(text):
+            problem = f"ncap does not read {text!r} unquoted: quote it, or write a decimal number"
+            self.fail(problem, at, group)
         return text
 
 
-def _utf8(key, what: str) -> str:
-    """A config key, name, unit or note as text. A YAML null, list or mapping
-    is not text, and a lone surrogate (from a YAML escape) cannot be written out."""
-    if type(key) is str and key.isascii():
+def _text(key, what: str) -> str:
+    """A config key, name, unit or note as text: a YAML null, list or mapping is not."""
+    if type(key) is str:
         return key
     if key is None:
         raise ConfigError(f"{what} must not be null")
     if isinstance(key, (list, dict)):
         raise ConfigError(f"{what} must not be a {'list' if isinstance(key, list) else 'mapping'}")
-    text = str(key)
-    try:
-        text.encode("utf-8")
-    except UnicodeEncodeError:
-        raise ConfigError(f"{what} {text!r} is not valid UTF-8") from None
-    return text
+    return str(key)
 
 
 def _mapping(value, what: str, keys=None) -> dict:
-    """A config mapping with every key as text (see _utf8). Raises ConfigError
+    """A config mapping with every key as text (see _text). Raises ConfigError
     when ``value`` is not a mapping, when two keys are the same text, or when
     a key is not one of ``keys`` (any key is allowed when ``keys`` is None)."""
     if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a mapping")
     out = {}
     for key, item in value.items():
-        text = _utf8(key, f"{what}: key")
+        text = _text(key, f"{what}: key")
         if text in out:
             raise ConfigError(f"{what}: more than one key reads as {text!r}")
         if keys is not None and text not in keys:
@@ -672,7 +657,7 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
         entry = _mapping(entry, what, ("name", "direction", "unit", "encoding"))
         if "name" not in entry:
             raise ConfigError(f"{what} needs a 'name'")
-        name = _utf8(entry["name"], "feature name")
+        name = _text(entry["name"], "feature name")
         if name in specs:
             raise ConfigError(f"feature {name!r} is declared more than once")
         unit, encoding = entry.get("unit"), entry.get("encoding")
@@ -681,7 +666,7 @@ def _parse_feature_specs(entries) -> tuple[FeatureSpec, ...]:
         specs[name] = FeatureSpec(
             name=name,
             direction=_choice(Direction, entry.get("direction"), f"feature {name!r}: direction"),
-            unit="" if unit is None else _utf8(unit, f"feature {name!r}: unit"),
+            unit="" if unit is None else _text(unit, f"feature {name!r}: unit"),
             encoding=encoding,
         )
     return tuple(specs.values())
@@ -692,23 +677,17 @@ def _parse_profiles(entries) -> dict[str, CapabilityProfile]:
         return {}
     profiles = {}
     for platform, body in _mapping(entries, "profiles").items():
-        flags = {"perception": True, **body} if type(body) is dict else {}
+        what = f"profile for {platform!r}"
+        flags = {"perception": True, **_mapping(body, what, _PROFILE_KEYS)}
         evidence = flags.pop("evidence", None)
-        if evidence is not None or not (
-            flags.keys() <= _PROFILE_KEYS
-            and all(map(isinstance, map(flags.get, _LAYERS), repeat(bool)))
-        ):  # any other body is checked key by key, naming its first fault
-            what = f"profile for {platform!r}"
-            flags = {"perception": True, **_mapping(body, what, _PROFILE_KEYS)}
-            evidence = flags.pop("evidence", None)
-            for layer in _LAYERS:
-                if not isinstance(flags.get(layer), bool):
-                    raise ConfigError(f"{what} needs boolean {layer!r}")
-            evidence = {} if evidence is None else _mapping(evidence, f"{what}: evidence")
-            evidence = {
-                key: _utf8(note, f"{what}: evidence for {key!r}") for key, note in evidence.items()
-            }
-        profiles[platform] = CapabilityProfile(platform=platform, evidence=evidence or {}, **flags)
+        for layer in _LAYERS:
+            if not isinstance(flags.get(layer), bool):
+                raise ConfigError(f"{what} needs boolean {layer!r}")
+        evidence = {} if evidence is None else _mapping(evidence, f"{what}: evidence")
+        evidence = {
+            key: _text(note, f"{what}: evidence for {key!r}") for key, note in evidence.items()
+        }
+        profiles[platform] = CapabilityProfile(platform=platform, evidence=evidence, **flags)
     return profiles
 
 

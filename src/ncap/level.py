@@ -12,7 +12,7 @@ from __future__ import annotations
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .errors import InadmissibleProfileError
+from .errors import DomainError, InadmissibleProfileError
 
 LAYERS_ABOVE_PERCEPTION = ("modeling", "planning", "execution")
 
@@ -44,13 +44,16 @@ def classify(profile: CapabilityProfile) -> AutonomyLevel:
     reported as a warning instead.
 
     Raises InadmissibleProfileError if the profile lacks perception: a
-    platform with no sensors cannot be assessed at all.
+    platform with no sensors cannot be assessed at all; DomainError for no profile.
     """
-    if not profile.perception:
-        raise InadmissibleProfileError(
-            f"platform {profile.platform!r} declares no perception layer"
-        )
-    flags = (profile.modeling, profile.planning, profile.execution)
+    try:
+        if not profile.perception:
+            raise InadmissibleProfileError(
+                f"platform {profile.platform!r} declares no perception layer"
+            )
+        flags = (profile.modeling, profile.planning, profile.execution)
+    except AttributeError:  # None, a mapping, or another record
+        raise DomainError(f"not a capability profile: {profile!r}") from None
     value = 0
     for flag in flags:
         if not flag:

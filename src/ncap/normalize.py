@@ -96,8 +96,8 @@ def _apply(plan, column: Sequence[float]) -> Iterator[float]:
 
 def normalize(column: Sequence[float], method: NormalizationMethod) -> NormalizedColumn:
     """Apply the named normalization technique to one column. A method that
-    is not a NormalizationMethod, a non-finite value, or a sum, range or
-    square beyond the largest float raises DomainError naming it."""
+    is not a NormalizationMethod, a value that is no finite real, or a sum,
+    range or square beyond the largest float raises DomainError naming it."""
     if not isinstance(method, NormalizationMethod):
         names = ", ".join(f"NormalizationMethod.{m.name}" for m in NormalizationMethod)
         raise DomainError(f"not a normalization method: {method!r}; expected one of {names}")
@@ -105,6 +105,11 @@ def normalize(column: Sequence[float], method: NormalizationMethod) -> Normalize
         plan = _plan(column, method)
     except OverflowError as exc:
         raise DomainError(f"eta_{method.value}: {exc}") from None
+    except TypeError:  # a value that is no real number, or a column that is no sequence
+        values = enumerate(column if isinstance(column, (list, tuple)) else ())
+        bad = (f"{v!r} at index {i}" for i, v in values if not isinstance(v, (int, float)))
+        got = next(bad, repr(column))
+        raise DomainError(f"eta_{method.value} requires real values; got {got}") from None
     return NormalizedColumn(tuple(_apply(plan, column)), method)
 
 

@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right, insort
 from collections import Counter
 from itertools import repeat
-from operator import add, mod, mul
+from operator import add, eq, mod, mul
 from typing import Any, Iterable, Mapping, NamedTuple
 
 from .errors import DimensionError, DomainError, InsufficientMethodsError
@@ -60,9 +60,12 @@ class AgreementStats(NamedTuple):
 
 def rank_scores(scores: Mapping[str, float]) -> dict[str, int]:
     """Rank platforms by score, descending; exact score ties share a rank."""
-    for platform, score in scores.items():
-        if not math.isfinite(score):
-            raise DomainError(f"non-finite score {score!r} for platform {platform!r}")
+    try:
+        for platform, score in scores.items():
+            if not math.isfinite(score):
+                raise DomainError(f"non-finite score {score!r} for platform {platform!r}")
+    except (OverflowError, TypeError):  # an int beyond the float range, or no real number
+        raise DomainError(f"score {score!r} for platform {platform!r} is no finite real") from None
     # a platform's rank is the position of its score's first copy, best first
     first: dict[float, int] = {}
     for position, score in enumerate(sorted(scores.values(), reverse=True), 1):
@@ -144,13 +147,22 @@ def kendall_tau(a: Mapping[str, Any], b: Mapping[str, Any]) -> float:
 
     The ranks may be any comparable values; only their order matters.
     Returns nan when either column is one big tie (tau-b is undefined
-    there: no pair is ever concordant or discordant).
+    there: no pair is ever concordant or discordant). A NaN rank, or ranks
+    that do not compare, raise DomainError naming the platform.
     """
     if set(a) != set(b):
         raise DimensionError("kendall_tau: platform sets differ")
-    xs = _dense(list(a.values()))
-    ys = _dense(list(map(b.__getitem__, a)))
-    return _tau_b(xs, ys, _tied_pairs(xs), _tied_pairs(ys))
+    try:
+        xs = _dense(list(a.values()))
+        ys = _dense(list(map(b.__getitem__, a)))
+        if all(map(eq, a.values(), a.values())) and all(map(eq, b.values(), b.values())):
+            return _tau_b(xs, ys, _tied_pairs(xs), _tied_pairs(ys))
+    except TypeError:  # ranks that do not compare
+        pass
+    for platform, rank in (*a.items(), *b.items()):  # a NaN, unequal to itself, has no order
+        if rank != rank or not isinstance(rank, (int, float)):
+            break
+    raise DomainError(f"kendall_tau: rank {rank!r} of platform {platform!r} does not order")
 
 
 def consensus_report(ranks: RankTable) -> AgreementStats:

@@ -773,8 +773,8 @@ def _compare_matrix_without_config(tmp_path, matrix, config):
     return ["compare", "--matrix", str(matrix)]
 
 
-# scalars YAML resolves to a date or a number that Python cannot build, all
-# of which yaml.load builds
+# scalars YAML resolves to a date or a number that Python cannot build,
+# which ncap refuses since it does not build them
 UNBUILDABLE_SCALARS = {
     "impossible_month": "    unit: 2021-13-01\n",
     "impossible_day": "    unit: 2021-02-30\n",
@@ -801,15 +801,17 @@ def _unbuildable(name, text, install):
     return make_argv
 
 
-# PyYAML as built without libyaml ("pure", where yaml has no CSafeLoader)
-# and as installed ("libyaml" where it was built with it): a config reads
-# the same on both
-INSTALLS = ["pure", "libyaml"]
+# PyYAML as built without libyaml ("pure", where yaml has no CSafeLoader),
+# as installed ("libyaml" where it was built with it) and not installed
+# ("none"): ncap never imports it, so a config reads the same on each
+INSTALLS = ["pure", "libyaml", "none"]
 
 
 def as_installed(monkeypatch, install):
     if install == "pure":
         monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    elif install == "none":
+        monkeypatch.setitem(sys.modules, "yaml", None)
 
 
 UNBUILDABLE_CASES = [
@@ -939,20 +941,19 @@ def test_yaml_syntax_error_names_line_and_column(tmp_path, capsys, monkeypatch, 
 
 @pytest.mark.parametrize("install", INSTALLS)
 def test_unbuildable_scalar_names_its_position(tmp_path, capsys, monkeypatch, install):
-    """A scalar that cannot be built is reported at its start, in a block,
-    a one-line flow, with an explicit tag or in a nested flow collection.
-    So is text tagged as a bool or timestamp, on which PyYAML's constructors
-    raise a KeyError or an AttributeError."""
+    """A scalar that YAML reads as a date or a number ncap does not build is
+    reported at its start, in a block, a one-line flow or a nested flow
+    collection; with an explicit tag, it is reported at the tag."""
     as_installed(monkeypatch, install)
     path = tmp_path / "c.yaml"
-    month = "month must be in 1..12"
+    month = "ncap does not read '2021-13-01' unquoted: quote it, or write a decimal number"
     for unit, detail in (
         ("2021-13-01", f"line 3, column 11: {month}"),
         ("[m, 2021-13-01]", f"line 3, column 15: {month}"),
-        ("!!timestamp 2021-13-01", f"line 3, column 11: {month}"),
+        ("!!timestamp 2021-13-01", "line 3, column 11: ncap does not read a tag"),
         ("[[2021-13-01]]", f"line 3, column 13: {month}"),
-        ("!!bool abc", "line 3, column 11: 'abc' is not a bool"),
-        ("!!timestamp abc", "line 3, column 11: 'abc' is not a timestamp"),
+        ("!!bool abc", "line 3, column 11: ncap does not read a tag"),
+        ("!!timestamp abc", "line 3, column 11: ncap does not read a tag"),
     ):
         path.write_text(f"features:\n  - name: a\n    unit: {unit}\n")
         code, out, err = run(capsys, "level", "--config", str(path))
@@ -1036,8 +1037,8 @@ def test_lone_surrogate_escape_is_one_error_line(tmp_path, capsys, monkeypatch, 
     ids=["flow", "block"],
 )
 def test_config_nested_too_deeply_is_one_error_line(tmp_path, text):
-    """Nesting past the interpreter's recursion limit, in either reader, is
-    one error line. It runs in a child, since a reader that overflows the C
+    """Nesting past the interpreter's recursion limit, in a flow or a block,
+    is one error line. It runs in a child, since a reader that overflows the C
     stack would end the test process."""
     path = tmp_path / "c.yaml"
     path.write_text(text)

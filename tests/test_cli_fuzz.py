@@ -11,12 +11,13 @@ way and read back by --scores, and raw bytes, alone or spliced into a
 shipped file, are fed as matrix, config and --scores.
 
 Each config example mutates the bundled config, written in block style or
-with one-line flow collections, and runs level and score once as shipped
-and once with every config read by yaml.load: both runs give the same
-exit code, stdout and error line, and a config that cannot be parsed is
-named with a line and column. A third run without PyYAML gives the same
-again, unless the config is beyond the line reader: then it is one error
-line that asks for PyYAML.
+with one-line flow collections, and runs level and score as shipped, as
+shipped without PyYAML, and with every config read by yaml.load instead
+of ncap's reader. The first two runs give the same exit code, stdout and
+error line. A config ncap reads gives the same outcome as through
+yaml.load; a config it refuses is one error line that names a line and a
+column, and one that yaml.load reads without a repeated key is refused
+only as YAML ncap does not read.
 
 A fixed-seed batch of mutated matrices and profile bodies also runs in
 fresh interpreters under two PYTHONHASHSEED values, which must print the
@@ -43,7 +44,8 @@ from hypothesis import given, settings, strategies as st
 
 import ncap.ingest
 from ncap.cli import main
-from test_dependencies import NO_PYYAML, _child
+from test_dependencies import _child
+from test_ingest import UNREAD, YAML_ERRORS, repeats_a_key
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from cohort import CohortSpec, generate  # noqa: E402
@@ -200,8 +202,8 @@ def test_raw_bytes_keep_the_error_contract(
         keeps_the_error_contract(argv, "jsonl", workdir / "out.txt")
 
 
-# values and characters that stay inside the line reader's subset or send
-# the whole config to yaml.load
+# values and characters that stay inside the line reader's subset or are
+# YAML it does not read
 CONFIG_VALUES = ["yes", "0o17", "1_000", ".inf", "1:20", "2021-01-01", "2021-13-01", "0x_",
                  "2001-12-14t21:59:43.10-05:00", "&a mean", "*a", "!!str 5", "~", "''", "'q'",
                  '"q"', "true", "-1", "1.5", "1e5", "[a, b]", "{x: 1}", "[[x]]", "|", ""]
@@ -247,7 +249,14 @@ def flow_form(text):
 
 
 def read_by_yaml_load(text):
-    raise ncap.ingest._Outside
+    """yaml.load's value of a text, the oracle for ncap's reader: a YAML
+    error, or a key repeated in one mapping, is a ValueError."""
+    try:
+        if repeats_a_key(text):
+            raise ValueError("repeated key")
+        return yaml.load(text, Loader=yaml.SafeLoader)
+    except YAML_ERRORS as exc:
+        raise ValueError(str(exc)) from None
 
 
 @pytest.mark.parametrize("form", ["block", "flow"])
@@ -261,30 +270,28 @@ def test_mutated_config_reads_as_yaml_load_reads_it(
     config.write_bytes(
         mutate_config(text if form == "block" else flow_form(text), edits).encode("utf-8")
     )
-    try:
-        ncap.ingest._subset_value(config.read_text("utf-8-sig"))
-        outside = False
-    except ncap.ingest._Outside:
-        outside = True
+    refused = f"error: ConfigError: cannot parse config {config}: "
     for argv in (["level", "--config", str(config), "--format", "csv"],
                  ["score", "--matrix", str(benchmark_matrix_path), "--config", str(config),
                   "--weights", "config", "--format", "csv"]):
         code, out, err = run(argv)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ncap.ingest, "_subset_value", read_by_yaml_load)
-            loaded = run(argv)
-        with pytest.MonkeyPatch.context() as patch:
             patch.setitem(sys.modules, "yaml", None)
-            without_pyyaml = run(argv)
+            assert run(argv) == (code, out, err)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ncap.ingest, "_yaml_value", read_by_yaml_load)
+            loaded = run(argv)
         assert code in (0, 1, 2)
-        assert (code, out, err) == loaded
-        shipped = (1, b"", NO_PYYAML.format(config)) if outside else (code, out, err)
-        assert without_pyyaml == shipped
         if code == 1:
             assert out == b"" and ERROR_LINE.fullmatch(err)
-            prefix = f"error: ConfigError: cannot parse config {config}: "
-            if err.startswith(prefix):
-                assert PLACE.match(err, len(prefix)), err
+        if not err.startswith(refused):
+            assert (code, out, err) == loaded
+        elif err == f"{refused}collections nest too deeply\n":
+            assert loaded[0] == 1
+        else:
+            assert PLACE.match(err, len(refused)), err
+            if not PLACE.sub("", err[len(refused) :], 1).startswith(UNREAD):
+                assert loaded[2].startswith(refused), err
 
 
 # runs each argv of a JSON list through main() and prints, as one JSON list,

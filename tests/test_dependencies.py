@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -7,14 +8,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-
-# the one line a command prints for a config beyond the line reader where
-# PyYAML is not installed
-NO_PYYAML = (
-    "error: ConfigError: cannot parse config {}: it uses YAML beyond ncap's own reader, "
-    "which needs PyYAML (pip install 'ncap[yaml]')\n"
-)
-
 
 def _child(probe, *args, block=(), check=True, **env):
     """A fresh interpreter that runs ``probe`` with ``args`` on the ncap source
@@ -37,13 +30,31 @@ def _child(probe, *args, block=(), check=True, **env):
 
 
 def test_pyproject_declares_no_runtime_dependency():
-    """PyYAML is optional: the `yaml` extra brings it for configs beyond the
-    line reader, and the `test` extra for the yaml.load oracles."""
+    """ncap reads its configs itself: PyYAML comes only with the `test`
+    extra, for the yaml.load oracles."""
     tomllib = pytest.importorskip("tomllib")
     project = tomllib.loads((SRC.parent / "pyproject.toml").read_text("utf-8"))["project"]
     assert project["dependencies"] == []
-    for extra in ("yaml", "test"):
-        assert "PyYAML>=6.0" in project["optional-dependencies"][extra], extra
+    assert set(project["optional-dependencies"]) == {"test"}
+    assert "PyYAML>=6.0" in project["optional-dependencies"]["test"]
+
+
+def test_no_module_imports_yaml():
+    """No module of the package imports PyYAML, by statement or by name."""
+    found = []
+    for path in sorted((SRC / "ncap").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names = [node.value]  # as given to __import__ or importlib
+            else:
+                continue
+            if any(name.split(".")[0] == "yaml" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 def test_import_ncap_loads_neither_scipy_nor_numpy():
@@ -106,47 +117,3 @@ def test_uas7_commands_never_fork(tmp_path, monkeypatch, command):
     argv += ["--config", str(data / "uas_config.yaml"), "--weights", "config"]
     assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 0
     assert forks == []
-
-
-def test_commands_import_pyyaml_only_for_configs_outside_the_subset(tmp_path):
-    """score and level on the bundled data never import PyYAML: the line
-    reader reads the config. A config with an anchor is read by yaml.load."""
-    data = SRC.parent / "data"
-    matrix, config = data / "uas_features.csv", data / "uas_config.yaml"
-    anchored = tmp_path / "anchored.yaml"
-    anchored.write_text(config.read_text(encoding="utf-8").replace(
-        "missing: mean", "missing: &policy mean"
-    ), encoding="utf-8")
-    probe = (
-        "import sys\n"
-        "from ncap.cli import main\n"
-        "for config in sys.argv[2:]:\n"
-        "    codes = [main(['score', '--matrix', sys.argv[1], '--config', config,"
-        " '--out', '{out}']),\n"
-        "             main(['level', '--config', config, '--out', '{out}'])]\n"
-        "    print(codes, 'yaml' in sys.modules)\n"
-    ).format(out=tmp_path / "out.txt")
-    done = subprocess.run(
-        [sys.executable, "-c", probe, str(matrix), str(config), str(anchored)],
-        env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert done.stdout.splitlines() == ["[0, 0] False", "[0, 0] True"]
-
-
-def test_config_beyond_the_reader_without_pyyaml_is_one_error_line(tmp_path):
-    """Where PyYAML is not installed, a config that needs yaml.load fails as
-    one error line, exit 1 and nothing on stdout, from every command."""
-    data = SRC.parent / "data"
-    anchored = tmp_path / "anchored.yaml"
-    anchored.write_text((data / "uas_config.yaml").read_text(encoding="utf-8").replace(
-        "missing: mean", "missing: &policy mean"
-    ), encoding="utf-8")
-    probe = "import sys\nfrom ncap.cli import main\nsys.exit(main(sys.argv[1:]))\n"
-    matrix = ["--matrix", str(data / "uas_features.csv")]
-    for command in ("score", "level", "distance", "plotdata", "compare"):
-        argv = [command, *(matrix if command != "level" else []), "--config", str(anchored)]
-        done = _child(probe, *argv, block=("yaml",), check=False)
-        assert (done.returncode, done.stdout, done.stderr) == (1, "", NO_PYYAML.format(anchored))

@@ -3,6 +3,7 @@ import csv
 import io
 import math
 import re
+import sys
 import tracemalloc
 from collections.abc import Hashable
 from dataclasses import replace
@@ -220,7 +221,7 @@ PROFILE = "profiles:\n  p: {modeling: true, planning: true, execution: true"
         (FEATURE_A[:-2] + ", encoding: {~: 1}}\n", "'a': encoding: key must not be null"),
         (FEATURE_A + PROFILE + ", evidence: {lidar: ~}}\n", "evidence for 'lidar' must not be null"),
         (FEATURE_A + PROFILE + ', evidence: {lidar: "\\ud800"}}\n',
-         r"evidence for 'lidar' '\\ud800' is not valid UTF-8"),
+         "line 4, column 75: ncap does not read an escape"),
     ],
     ids=[
         "top_level_list", "empty_file", "no_features", "features_mapping", "entry_scalar",
@@ -278,7 +279,7 @@ def test_config_keys_are_text(tmp_path):
          "feature 'a': unit must not be a list"),
         (FEATURE_A + PROFILE + ", evidence: {modeling: [lidar, cam]}}\n",
          "profile for 'p': evidence for 'modeling' must not be a list"),
-        (FEATURE_A + PROFILE + ",\n      evidence: {modeling: [lidar, {cam: 2}]}}\n",
+        (FEATURE_A + PROFILE + ", evidence: {modeling: [lidar, {cam: 2}]}}\n",
          "profile for 'p': evidence for 'modeling' must not be a list"),
     ],
     ids=["list_name", "mapping_unit", "list_unit", "list_note", "nested_note"],
@@ -651,29 +652,34 @@ documents = st.recursive(
 )
 
 
-OUTSIDE = "outside the line reader's subset"
-
-
-def read_subset(text):
-    """(value, None) of the line reader alone, or (None, OUTSIDE) for a
-    text it leaves to yaml.load."""
+def read(text):
+    """(value, None) of the line reader, or (None, the message of the
+    ValueError with which it refuses the text)."""
     try:
-        return ncap.ingest._subset_value(text), None
-    except ncap.ingest._Outside:
-        return None, OUTSIDE
+        return ncap.ingest._yaml_value(text), None
+    except ValueError as exc:
+        return None, str(exc)
+
+
+# how the problem of a text that the reader refuses, but that may be YAML,
+# starts; and its place
+UNREAD = "ncap does not read "
+PLACE = re.compile(r"line (\d+), column (\d+): (.*)")
 
 
 @given(documents, st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_yaml_dumps_read_as_yaml_load_reads_them(document, flow):
-    """yaml.load, load_config's read, and the line reader wherever it reads
-    the text give one value, with the same types and key order (repr tells
-    True from 1 and 1.0, and orders keys)."""
+    """A dump is read to the value yaml.load gives, with the same types and
+    key order (repr tells True from 1 and 1.0, and orders keys), or refused
+    at a place as YAML the reader does not read."""
     text = yaml.safe_dump(document, default_flow_style=flow, allow_unicode=True)
     expected = yaml.load(text, Loader=yaml.SafeLoader)
-    assert repr(ncap.ingest._yaml_value(text)) == repr(expected)
-    value, error = read_subset(text)
-    assert (repr(value), error) in ((repr(expected), None), ("None", OUTSIDE))
+    value, error = read(text)
+    if error is None:
+        assert repr(value) == repr(expected)
+    else:
+        assert PLACE.fullmatch(error)[3].startswith(UNREAD), error
 
 
 # text that does not start like a number, ints of at most 18 digits and
@@ -702,27 +708,17 @@ def test_line_reader_reads_block_dumps_of_plain_text(document):
     inside the subset: the line reader reads it without yaml.load, to what
     yaml.load gives."""
     text = yaml.safe_dump(document, default_flow_style=False, allow_unicode=True)
-    value, error = read_subset(text)
+    value, error = read(text)
     assert error is None, text
     assert repr(value) == repr(yaml.load(text, Loader=yaml.SafeLoader))
 
 
-def _value_error(text):
-    with pytest.raises(ValueError) as info:
-        yaml.safe_load(text)
-    return str(info.value)
-
-
-# plain scalars YAML resolves to a date or number that cannot be built, with
-# the message yaml.load gives for each
-UNBUILDABLE = {
-    text: _value_error(text)
-    for text in ("2021-13-01", "2021-02-30", "0x_", "0b_", "2001-12-14t21:59:43.10-25:00")
-}
-# scalars the line reader builds, and what it leaves to yaml.load: plain
-# scalars it does not build (yes, 1_000, 1:20, timestamps), anchors,
-# aliases, tags, merge and value keys, escapes, indicators and text a
-# parser reads in more than one way. Few distinct tokens, so keys repeat.
+# plain scalars YAML resolves to a date or number that cannot be built
+UNBUILDABLE = ["2021-13-01", "2021-02-30", "0x_", "0b_", "2001-12-14t21:59:43.10-25:00"]
+# scalars the line reader builds, and what it refuses: plain scalars it
+# does not build (1_000, 1:20, timestamps), anchors, aliases, tags, merge
+# and value keys, escapes, indicators and text a parser reads in more than
+# one way. Few distinct tokens, so keys repeat.
 BUILDABLE = [
     "a", "a b", "m/s", "x, y", "é", "true", "TRUE", "tRUE", "No", "yes", "null", "~", "~x",
     "1", "-7", "+1", "-0", "007", "08", "0o17", "1_000", "0x1F", "1:20", "1.5", "+.5", "-.5",
@@ -841,7 +837,6 @@ def as_read(error, text):
 
 
 MERGE = "tag:yaml.org,2002:merge"
-PLACE = re.compile(r"line (\d+), column (\d+): (.*)")
 YAML_LINES = re.compile("\r\n|[\r\n\x85\u2028\u2029]")
 
 
@@ -875,63 +870,52 @@ def repeats_a_key(text):
     return False
 
 
-def names_an_unbuildable_scalar(text, message):
-    """Whether ``message`` is ``line L, column C: <problem>`` for a scalar
-    of UNBUILDABLE, after any anchor or tag, that starts at L, C, counting
-    as YAML does: lines at each of its line breaks, and columns after a
-    byte-order mark that starts the text."""
-    line, column, problem = PLACE.fullmatch(message).groups()
-    at = YAML_LINES.split(text.removeprefix("\ufeff"))[int(line) - 1][int(column) - 1 :]
-    at = re.sub(r"^(?:&\w+[ \t]+|!!timestamp[ \t]+)*", "", at)
-    return [problem] == [m for t, m in UNBUILDABLE.items() if at.startswith(t)]
-
-
 @given(block_texts)
 @example("a: [&x 3, &x 3]")  # a repeated anchor that no alias names
 @example("a: {<<: {a: 1}, =: 2, [b]: 3}")
 @example("a: [0x_, 2021-13-01]\nb: 0b_\n---\n1")
-@example("a:\n  x: 2021-13-01\nb: 0x_\n")  # yaml.load builds b before x
+@example("a:\n  x: 2021-13-01\nb: 0x_\n")
 @example("- a: 1\n  a: 2\n  b: 3\n  a: 4\n")
 @example("a: {x: 1, y: 2, 'x': 3}")
 @example("a: {1: x, 1.0: y}\n")
-@example("b: &b {x: 1}\nc: {<<: *b, x: 2}\n")  # a key may override a merged one
-@example("b: &b {x: 1}\na:\n  k:\n    c: &c {<<: *b, x: 2}\nd: {<<: *c}\n")
+@example("a: {x: [1, {y: 2, y: 3}]}\n")
+@example("b: &b {x: 1}\nc: {<<: *b, x: 2}\n")
 @example("a: {<<: {x: 1, x: 2}}\n")
 @example("? x:\n  ? x: a\na: a\na: a")  # keys first: a repeated key before an unhashable one
 @example("\ra: 2021-13-01")  # "\r" breaks a line
+@example("a: 1\r\nb: [x, y]\x85c: 'z'\u2028d:\u2029  - e\r")
 @example("\ufeff- 2021-13-01")
 @example("!!timestamp\t 2021-13-01: a")
 @example("a: [!!timestamp 2\t021-13-01]")  # a tab inside a plain scalar
-@example("!!timestamp 2\t021-13-01: a")
 @example("\x00- No\n\x00- No")  # two refused characters
+@example("a: x\n  y\n")  # a plain scalar over two lines
+@example("- a\n  - b\n")
+@example("a:b: c\n")
+@example("'a' : 1\n")
+@example("a: [x # c\n  , y]\n")
 @settings(max_examples=400, deadline=None)
 def test_config_text_reads_as_yaml_load_reads_it(text):
-    """A text without a repeated key gives yaml.load's value, with the same
-    types and key order, where yaml.load gives one; the line reader reads a
-    text only then. Every other text fails at a line and column: where
-    yaml.load cannot read its nodes, with yaml.load's error, and otherwise
-    a repeated key is there, or a scalar that cannot be built starts there.
-    yaml.load builds keys and values in another order, so it may meet
-    another error first."""
-    value, error = read_subset(text)
+    """The reader reads a text only where yaml.load reads it, to the same
+    value with the same types and key order, and no key repeats. Every
+    other text fails at a line and column of the text: a character YAML
+    refuses as yaml.load fails, a repeated key where one repeats, and a
+    text that yaml.load reads without a repeated key only as YAML that the
+    reader does not read."""
+    value, error = read(text)
     expected, expected_error = outcome(lambda: yaml.load(text, Loader=yaml.SafeLoader))
     repeats, compose_error = outcome(lambda: repeats_a_key(text))
-    got, got_error = outcome(lambda: ncap.ingest._yaml_value(text))
     if error is None:
         assert (repr(value), expected_error, repeats) == (repr(expected), None, False)
-    if expected_error is None and not repeats:
-        assert (repr(got), got_error) == (repr(expected), None)
         return
-    assert type(got_error) is ValueError
-    message = str(got_error)
-    if compose_error is not None:
-        assert message == as_read(compose_error, text)
-        return
-    problem = PLACE.fullmatch(message)[3]
-    if problem.startswith("repeated key "):
-        assert repeats
-    elif problem in UNBUILDABLE.values():
-        assert names_an_unbuildable_scalar(text, message)
+    line, column, problem = PLACE.fullmatch(error).groups()
+    lines = YAML_LINES.split(text)
+    assert int(line) <= len(lines) and int(column) <= len(lines[int(line) - 1]) + 1, error
+    if isinstance(compose_error, yaml.reader.ReaderError):
+        assert error == as_read(compose_error, text)
+    elif problem.startswith("repeated key "):
+        assert repeats or compose_error is not None
+    elif expected_error is None and not repeats:
+        assert problem.startswith(UNREAD), error
 
 
 def test_loading_a_config_leaves_no_memory_behind(tmp_path):
@@ -959,19 +943,82 @@ def test_loading_a_config_leaves_no_memory_behind(tmp_path):
     assert growth < 10_000
 
 
-# configs whose read hung on how PyYAML was built (libyaml read both tabs
-# and refused the directive and the escape, which the pure loader reads),
-# with the error each gives, or None for one that loads
+FEATURE_ROWS = "features:\n  - name: a\n    direction: more_is_better\n"
+# what each construct the reader refuses adds to FEATURE_ROWS, with the
+# error it gives
+REFUSED = {
+    "anchor": ("    unit: &u m\n", "line 4, column 11: ncap does not read an anchor"),
+    "alias": ("weights: {a: *w}\n", "line 4, column 14: ncap does not read an alias"),
+    "tag": ("    unit: !!str 5\n", "line 4, column 11: ncap does not read a tag"),
+    "block_scalar": (
+        "    unit: |\n      m\n", "line 4, column 11: ncap does not read a block scalar"
+    ),
+    "scalar_over_lines": (
+        "    unit: meters\n      per second\n",
+        "line 5, column 7: ncap does not read a scalar over several lines",
+    ),
+    "scalar_below_its_key": (
+        "    unit:\n      m\n",
+        "line 5, column 7: ncap does not read a scalar on a row of its own",
+    ),
+    "quoted_over_lines": (
+        "    unit: 'm\n      s'\n",
+        "line 4, column 11: ncap does not read a quoted scalar over several lines",
+    ),
+    "double_quoted_escape": (
+        '    unit: "m\\u00b2"\n', "line 4, column 13: ncap does not read an escape"
+    ),
+    "single_quoted_escape": (
+        "    unit: 'it''s'\n", "line 4, column 14: ncap does not read an escape"
+    ),
+    "flow_over_lines": (
+        "    unit: [m,\n      s]\n",
+        "line 5, column 1: ncap does not read a flow collection over several lines",
+    ),
+    "tab": ("    unit: m\t# c\n", "line 4, column 12: ncap does not read a tab"),
+    "byte_order_mark": (
+        "    unit: \ufeffm\n", "line 4, column 11: ncap does not read a byte-order mark"
+    ),
+    "document_marker": ("...\n", "line 4, column 1: ncap does not read a document marker"),
+    "directive": ("%TAG ! x\n", "line 4, column 1: ncap does not read a directive"),
+    "question_key": ("? weights\n: {a: 1}\n", "line 4, column 1: ncap does not read a '?' key"),
+    "merge_key": (
+        "weights: {<<: {a: 1}}\n",
+        "line 4, column 11: ncap does not read '<<' unquoted: quote it, or write a decimal number",
+    ),
+    "flow_key": ("weights: {[a]: 1}\n", "line 4, column 11: ncap does not read the key '[a]'"),
+    **{
+        name: (f"weights:\n  a: {number}\n", f"line 5, column 6: ncap does not read {number!r} "
+               "unquoted: quote it, or write a decimal number")
+        for name, number in [("hex", "0x1F"), ("underscores", "1_000"), ("sexagesimal", "1:20"),
+                             ("infinity", ".inf"), ("impossible_date", "2021-13-01")]
+    },
+}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_yaml_beyond_the_reader_is_refused_at_its_place(tmp_path, case):
+    """A config that uses YAML the reader does not read fails at the place
+    of that construct, and names it, whether or not yaml.load reads it."""
+    tail, error = REFUSED[case]
+    path = tmp_path / "c.yaml"
+    path.write_text(FEATURE_ROWS + tail, encoding="utf-8")
+    with pytest.raises(ConfigError) as info:
+        load_config(path)
+    assert str(info.value) == f"cannot parse config {path}: {error}"
+
+
+# configs whose read once hung on how PyYAML was built (libyaml read both
+# tabs and refused the directive and the escape, which the pure loader
+# read), with the error each gives now that ncap reads them itself
 PARSE = "cannot parse config {path}: line 4, column "
 INSTALL_CASES = {
-    "tab_in_plain_scalar": (
-        "    unit: m\ts\n", PARSE + "12: found character '\\t' that cannot start any token"
+    "tab_in_plain_scalar": ("    unit: m\ts\n", PARSE + "12: ncap does not read a tab"),
+    "tab_after_tag": ("    unit: !!str\tx\n", PARSE + "16: ncap does not read a tab"),
+    "yaml_1_0_directive": (
+        "", "cannot parse config {path}: line 1, column 1: ncap does not read a directive"
     ),
-    "tab_after_tag": ("    unit: !!str\tx\n", PARSE + "16: expected ' ', but found '\\t'"),
-    "yaml_1_0_directive": ("", None),
-    "surrogate_escape": (
-        '    unit: "\\ud800"\n', "feature 'a': unit '\\ud800' is not valid UTF-8"
-    ),
+    "surrogate_escape": ('    unit: "\\ud800"\n', PARSE + "12: ncap does not read an escape"),
     "nul": (
         "\x00\n", PARSE + "1: unacceptable character #x0000: special characters are not allowed"
     ),
@@ -980,55 +1027,52 @@ INSTALL_CASES = {
 
 @pytest.mark.parametrize("case", INSTALL_CASES)
 def test_config_reads_the_same_with_and_without_libyaml(tmp_path, monkeypatch, case):
-    """load_config gives the same value or the same error whether PyYAML
-    has libyaml's CSafeLoader or not."""
+    """load_config gives the same error whether PyYAML has libyaml's
+    CSafeLoader, lacks it, or is not installed."""
     tail, error = INSTALL_CASES[case]
     text = "features:\n  - name: a\n    direction: more_is_better\n" + tail
     path = tmp_path / "c.yaml"
     path.write_text(text if tail else f"%YAML 1.0\n---\n{text}")
 
     def read():
-        try:
-            return load_config(path)
-        except ConfigError as exc:
-            return str(exc)
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        return str(info.value)
 
-    as_installed = read()
+    assert read() == error.format(path=path)
     monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
-    assert read() == as_installed
-    if error is None:
-        assert as_installed.features[0].name == "a"
-    else:
-        assert as_installed == error.format(path=path)
+    assert read() == error.format(path=path)
+    monkeypatch.setitem(sys.modules, "yaml", None)
+    assert read() == error.format(path=path)
 
 
-def test_load_config_reads_outside_the_subset_on_the_pure_loader(
-    benchmark_config_path, tmp_path, monkeypatch
-):
-    """load_config reads the benchmark config without PyYAML's parser; a
-    config with an anchor is read once, by yaml.load on a subclass of
-    PyYAML's pure-Python SafeLoader, on every install."""
-    calls = []
+def test_config_reads_the_same_at_every_yaml_line_break(tmp_path, benchmark_config_path):
+    """\\r\\n, a lone \\r, \\x85, \\u2028 and \\u2029 each end a line, as "\\n" does."""
+    text = benchmark_config_path.read_text("utf-8")
+    path = tmp_path / "c.yaml"
+    expected = repr(load_config(benchmark_config_path))
+    for end in ("\r\n", "\r", "\x85", "\u2028", "\u2029"):
+        path.write_text(text.replace("\n", end), encoding="utf-8", newline="")
+        assert repr(load_config(path)) == expected
 
-    def spy(name):
-        function = getattr(yaml, name)
 
-        def called(stream, Loader):
-            calls.append((name, Loader))
-            return function(stream, Loader)
+def test_error_after_generated_profiles_names_the_files_own_line(tmp_path, monkeypatch):
+    """The profiles block that a generator writes is read apart from the
+    rest of the config; an error after it still names the line of the file."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from cohort import CohortSpec, generate
 
-        monkeypatch.setattr(yaml, name, called)
-
-    spy("parse")
-    spy("load")
-    load_config(benchmark_config_path)
-    assert calls == []
-    anchored = tmp_path / "c.yaml"
-    anchored.write_text("features:\n  - &a {name: a, direction: more_is_better}\n")
-    assert load_config(anchored).features[0].name == "a"
-    assert [(name, issubclass(loader, yaml.SafeLoader)) for name, loader in calls] == [
-        ("load", True)
-    ]
+    spec = CohortSpec(n=5, m=2, missing="mean", missing_frac=0.0, config_weights=True)
+    text = generate(spec, 3)[1]
+    assert ncap.ingest._canonical_profiles(text)[1]
+    path = tmp_path / "c.yaml"
+    line = text.count("\n") + 1
+    for tail, problem in (("missing: mean\n", "column 1: repeated key 'missing'"),
+                          ("extra: &x 1\n", "column 8: ncap does not read an anchor")):
+        path.write_text(text + tail, encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            load_config(path)
+        assert str(info.value) == f"cannot parse config {path}: line {line}, {problem}"
 
 
 # Validation passes against the per-element loops they replaced: each loop
@@ -1119,7 +1163,7 @@ def parse_profiles_oracle(entries):
                 raise ConfigError(f"{what} needs boolean {layer!r}")
         evidence = {} if evidence is None else ncap.ingest._mapping(evidence, f"{what}: evidence")
         evidence = {
-            key: ncap.ingest._utf8(note, f"{what}: evidence for {key!r}")
+            key: ncap.ingest._text(note, f"{what}: evidence for {key!r}")
             for key, note in evidence.items()
         }
         profiles[platform] = ncap.CapabilityProfile(platform=platform, evidence=evidence, **flags)
@@ -1216,13 +1260,14 @@ def test_resolve_missing_mean_fills_bit_for_bit_as_before(rows):
     assert repr(resolved) == repr(resolve_mean_oracle(m))
 
 
-READER_WORDS = [*ncap.ingest._WORDS, "tRue", "nulls", "~~", "yes", "Off", "true:", "-", "'~'"]
+READER_WORDS = [*ncap.ingest._WORDS, "tRue", "nulls", "~~", "yEs", "of", "true:", "-", "'~'"]
 
 
 @pytest.mark.parametrize("sequence", [False, True], ids=["mapping", "sequence"])
 def test_reader_words_read_as_yaml_load_reads_them(sequence):
     """Each mapping value or sequence entry that is a word of true, false or
-    null, or a near miss, alone or with spaces or a comment after it."""
+    null (YAML 1.1's yes, no, on and off among them), or a near miss, alone
+    or with spaces or a comment after it, reads as yaml.load reads it."""
     for word in READER_WORDS:
         for tail in ("", " ", "  # c", " #c"):
             text = f"- {word}{tail}\n- x\n" if sequence else f"k: {word}{tail}\nz: x\n"
@@ -1230,10 +1275,8 @@ def test_reader_words_read_as_yaml_load_reads_them(sequence):
                 expected = repr(yaml.load(text, Loader=yaml.SafeLoader))
             except yaml.YAMLError:
                 expected = None
-            value, error = read_subset(text)
-            assert (repr(value), error) in ((expected, None), ("None", OUTSIDE)), text
-            if expected is not None:
-                assert repr(ncap.ingest._yaml_value(text)) == expected
+            value, error = read(text)
+            assert (repr(value), error) == (expected, None) if expected else error, text
 
 
 def read_whole(text):

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from ncap import CapabilityProfile, InadmissibleProfileError, classify
+from ncap import CapabilityProfile, DomainError, InadmissibleProfileError, classify
 
 from golden import CAPABILITIES, LEVELS
 
@@ -48,6 +48,13 @@ def test_execution_without_planning_warns():
 def test_perception_is_required():
     with pytest.raises(InadmissibleProfileError):
         classify(profile("X", True, True, True, perception=False))
+
+
+@pytest.mark.parametrize("value", [None, {"modeling": True}, ("X", True, True, True)])
+def test_a_value_that_is_no_profile_is_named(value):
+    with pytest.raises(DomainError) as raised:
+        classify(value)
+    assert str(raised.value) == f"not a capability profile: {value!r}"
 
 
 def test_benchmark_levels():

@@ -329,6 +329,22 @@ def test_non_finite_value_is_named_with_its_index(eta, column, detail):
         eta(column)
 
 
+@pytest.mark.parametrize(
+    "eta, column, detail",
+    [
+        (eta_max, ["1", 2.0], "eta_max requires real values; got '1' at index 0"),
+        (eta_map, [1.0, None], "eta_map requires real values; got None at index 1"),
+        (eta_zsc, [1.0, 2.0, 1j], "eta_zsc requires real values; got 1j at index 2"),
+        (eta_sum, None, "eta_sum requires real values; got None"),
+    ],
+    ids=["str", "none", "complex", "no_column"],
+)
+def test_a_value_that_is_no_real_number_is_named(eta, column, detail):
+    with pytest.raises(DomainError) as raised:
+        eta(column)
+    assert str(raised.value) == detail
+
+
 @pytest.mark.parametrize("method", ["max", None, 0])
 def test_normalize_rejects_a_method_that_is_not_a_member(method):
     with pytest.raises(DomainError) as raised:

@@ -138,6 +138,35 @@ def test_rank_scores_rejects_nonfinite():
         rank_scores({"a": float("inf"), "b": 1.0})
 
 
+@pytest.mark.parametrize(
+    "scores, detail",
+    [
+        ({"a": "x", "b": 1.0}, "score 'x' for platform 'a' is no finite real"),
+        ({"a": 1.0, "b": None}, "score None for platform 'b' is no finite real"),
+        ({"a": 1.0, "b": 10**400}, f"score {10**400!r} for platform 'b' is no finite real"),
+    ],
+    ids=["str", "none", "huge_int"],
+)
+def test_rank_scores_names_a_score_that_is_no_real_number(scores, detail):
+    with pytest.raises(DomainError) as raised:
+        rank_scores(scores)
+    assert str(raised.value) == detail
+
+
+def test_kendall_tau_names_a_rank_that_does_not_compare():
+    with pytest.raises(DomainError) as raised:
+        kendall_tau({"a": 1, "b": 2, "c": 3}, {"a": 1, "b": "x", "c": 3})
+    assert str(raised.value) == "kendall_tau: rank 'x' of platform 'b' does not order"
+
+
+def test_kendall_tau_names_a_nan_rank():
+    """A NaN has no order, so it cannot rank; it is not read as a tie or a
+    place (tau-b read 1.0 here)."""
+    with pytest.raises(DomainError) as raised:
+        kendall_tau({"a": math.nan, "b": 2, "c": 3}, {"a": 1, "b": 2, "c": 3})
+    assert str(raised.value) == "kendall_tau: rank nan of platform 'a' does not order"
+
+
 def test_kendall_tau_identical():
     ranks = UNIFORM_RANKS["max"]
     assert kendall_tau(ranks, ranks) == 1.0
