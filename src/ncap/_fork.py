@@ -1,11 +1,11 @@
-"""Run independent tasks that each return floats on a second CPU.
+"""Run tasks that each return as many floats as the first on a second CPU.
 
-``split`` forks one child that runs every second task while the parent runs
-the others. The child sends its floats back through a pipe as raw
-``array('d')`` bytes, so every float keeps its bits, and ends with
-``os._exit``; the parent reads the pipe to its end and reaps the child in a
-``finally``. The callers import this module only once their work is above
-the break-even they measured, so a small input never loads it.
+``split`` has one caller, ``aggregate.score_table``, whose tasks are the
+combination methods: one float per platform each. A forked child runs every
+second task, sends all its floats through a pipe as one raw ``array('d')``,
+so each keeps its bits, and ends with ``os._exit``; the parent runs the
+others, reads the pipe to its end and reaps the child in a ``finally``. The
+caller imports this module only above its measured break-even.
 """
 
 from __future__ import annotations
@@ -14,10 +14,7 @@ import os
 import signal
 import sys
 from array import array
-from typing import Callable, Sequence, TypeVar
-
-T = TypeVar("T")
-R = TypeVar("R")
+from typing import Callable, Sequence
 
 
 def _second_cpu() -> bool:
@@ -32,20 +29,20 @@ def _second_cpu() -> bool:
 
 
 def _child(read: int, write: int, tasks: list, run: Callable) -> None:
-    """In a forked child: write the count of floats per task, then the
-    floats, and exit; 0 only when every byte was written. Never returns,
-    and writes nothing to stdout or stderr."""
+    """In a forked child: write every task's floats in task order as one
+    array('d') and exit, 0 only when every task gave as many floats as the
+    first and every byte was written. Writes nothing to stdout or stderr."""
     code = 1
     try:
         os.close(read)
-        counts, floats = array("q"), array("d")
-        for task in tasks:
+        floats = array("d")
+        for done, task in enumerate(tasks):
             values = run(task)
-            counts.append(len(values))
+            if len(floats) != done * len(values):  # a count unlike the first task's
+                return
             floats.extend(values)
         with open(write, "wb") as out:
-            out.write(counts.tobytes())
-            out.write(floats.tobytes())
+            out.write(floats)
         code = 0
     except BaseException:  # the parent runs this share itself on exit code 1
         pass
@@ -53,41 +50,20 @@ def _child(read: int, write: int, tasks: list, run: Callable) -> None:
         os._exit(code)
 
 
-def _receive(pipe, tasks: int, keep: Callable) -> list | None:
-    """``keep`` of a child's floats per task, read from its pipe one task at
-    a time, so that no more than one task's bytes are held at once; None
-    when the output is short or long."""
-    header = pipe.read(8 * tasks)
-    if len(header) != 8 * tasks:
-        return None
-    got = []
-    for count in memoryview(header).cast("q"):
-        data = pipe.read(8 * count)
-        if len(data) != 8 * count:
-            return None
-        got.append(keep(memoryview(data).cast("d")))
-    return None if pipe.read(1) else got
-
-
-def split(
-    tasks: Sequence[T],
-    run: Callable[[T], Sequence[float]],
-    keep: Callable[[Sequence[float]], R],
-) -> list[R]:
-    """``[keep(run(task)) for task in tasks]``, with a forked child running
+def split(tasks: Sequence, run: Callable[..., Sequence[float]]) -> list:
+    """``[run(task) for task in tasks]``, with a forked child running
     ``tasks[1::2]`` on a second CPU while this process runs ``tasks[0::2]``.
-    ``keep`` turns a task's floats into its result as soon as they are at
-    hand, so no more than one task's floats are held besides the results.
+    The child's share is taken when it exited 0 and sent as many floats per
+    task as the first task gave, each task's as a ``memoryview`` of them.
 
     Any failure on either side, a data error included, gives the serial
     path: every task in order in this process, so an error keeps its class,
     message and order.
     """
     if len(tasks) < 2 or not _second_cpu():
-        return [keep(run(task)) for task in tasks]
+        return [run(task) for task in tasks]
     parent, child = os.getpid(), None  # child: its pid, until it is reaped
-    results: list | None = None
-    read = None
+    results = read = None
     try:
         read, write = os.pipe()
         try:
@@ -99,15 +75,17 @@ def split(
             if os.getpid() != parent:  # an exception escaped the child before its own try
                 os._exit(1)
             os.close(write)
-        ours = [keep(run(task)) for task in tasks[0::2]]
+        ours = [run(task) for task in tasks[0::2]]
         with open(read, "rb") as pipe:
             read = None
-            theirs = _receive(pipe, len(tasks[1::2]), keep)
+            data = memoryview(pipe.read())
         status = os.waitpid(child, 0)[1]
         child = None
-        if theirs is not None and os.waitstatus_to_exitcode(status) == 0:
+        size, theirs = 8 * len(ours[0]), len(tasks[1::2])
+        if os.waitstatus_to_exitcode(status) == 0 and len(data) == size * theirs:
             results = [None] * len(tasks)
-            results[0::2], results[1::2] = ours, theirs
+            results[0::2] = ours
+            results[1::2] = [data[k * size : (k + 1) * size].cast("d") for k in range(theirs)]
     except Exception:  # a data error, or a failed pipe or fork: the serial path decides
         pass
     finally:
@@ -116,4 +94,4 @@ def split(
         if child is not None:  # still running, or blocked on a full pipe
             os.kill(child, signal.SIGKILL)
             os.waitpid(child, 0)
-    return [keep(run(task)) for task in tasks] if results is None else results
+    return [run(task) for task in tasks] if results is None else results

@@ -6,9 +6,10 @@ Two families of combination methods:
   zsc technique), then sum weighted contributions. Less-is-better
   features contribute with a negative sign.
 * weighted product - raw values raised to signed weight exponents and
-  multiplied. Needs no normalization because per-column rescaling
-  multiplies every platform's score by the same factor, leaving the
-  ordering untouched.
+  multiplied, with no normalization: with no absent cell, per-column
+  rescaling multiplies every platform's score by the same factor and
+  leaves the ordering untouched. A platform without the column keeps its
+  score, so under exclude a rescaling can reorder the product.
 
 A None cell is absent, and a platform with absent cells has its remaining
 weights renormalized to sum to 1, so scores stay on a comparable scale. A
@@ -30,8 +31,8 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import (
     DimensionError, DomainError, EmptyColumnError, MissingValueError, ProductDomainError
 )
-from .ingest import FeatureMatrix, ResolvedMatrix, checked_make
-from .normalize import NormalizationMethod, _apply, _plan
+from .ingest import FeatureMatrix, ResolvedMatrix, _first_repeat, checked_make
+from .normalize import NormalizationMethod, _apply, _check_method, _plan
 
 #: Combination-method tokens, in canonical presentation order.
 METHODS = ("max", "sum", "map", "zsc", "product")
@@ -101,9 +102,14 @@ class ScoreTable(_ScoreTable):
         for method, column in columns.items():
             if tuple(column) != platforms:
                 raise DimensionError(f"score column {method!r} does not cover all platforms")
-            for platform, score in column.items():
-                if not math.isfinite(score):
-                    raise DomainError(f"non-finite score for {platform!r} under {method!r}")
+            try:
+                for platform, score in column.items():
+                    if not math.isfinite(score):
+                        raise DomainError(f"non-finite score for {platform!r} under {method!r}")
+            except (OverflowError, TypeError):  # an int beyond the float range, or no real
+                raise DomainError(
+                    f"score {score!r} for platform {platform!r} under {method!r} is no finite real"
+                ) from None
         return super().__new__(cls, platforms, columns)
 
     @property
@@ -244,6 +250,7 @@ def weighted_sum(
     then contributes sign * weight * normalized value to the platform
     score, where the sign is -1 for less-is-better features.
     """
+    _check_method(method)
     scores = _sum_scores(matrix.platforms, *_checked(matrix, weights, present), method)
     return dict(zip(matrix.platforms, scores))
 
@@ -274,9 +281,10 @@ def score_table(
     bit for bit."""
     if not methods:
         raise DimensionError("no combination methods requested")
-    unknown = [m for m in methods if m not in METHODS]
-    if unknown:
+    if unknown := [m for m in methods if m not in METHODS]:
         raise DimensionError(f"unknown combination methods: {unknown}")
+    if (repeated := _first_repeat(methods)) is not None:
+        raise DimensionError(f"methods named more than once: {repeated}")
     platforms = resolved.matrix.platforms
     columns, idle = _columns(resolved.matrix, weights)
 
@@ -285,13 +293,12 @@ def score_table(
             return _product_scores(platforms, columns, idle)
         return _sum_scores(platforms, columns, idle, NormalizationMethod(method))
 
-    def column(values) -> dict[str, float]:
-        return dict(zip(platforms, values))
-
     if len(platforms) * len(columns) * len(methods) > _FORK_WORK:
         from ._fork import split
 
-        table = split(methods, scores, column)
+        table = split(methods, scores)
+        del columns  # every method is scored: free the column views before the dicts
     else:
-        table = [column(scores(method)) for method in methods]
-    return ScoreTable(platforms=platforms, columns=dict(zip(methods, table)))
+        table = map(scores, methods)  # each method scored, and its error raised, in order
+    scored = {m: dict(zip(platforms, values)) for m, values in zip(methods, table)}
+    return ScoreTable(platforms=platforms, columns=scored)

@@ -153,6 +153,9 @@ class FeatureSpec(_FeatureSpec):
         unit: str = "",
         encoding: Mapping[str, float] | None = None,
     ):
+        if not isinstance(direction, Direction):
+            choices = ", ".join(member.value for member in Direction)
+            raise ConfigError(f"feature {name!r}: direction must be one of: {choices}")
         if encoding is not None:
             numbers = {}
             for token, value in encoding.items():
@@ -333,6 +336,12 @@ _CONSTRUCTS = {char: f"ncap does not read {name}" for char, name in (
     (">", "a block scalar"), ("%", "a directive"), ("?", "a '?' key"), ("\t", "a tab"),
     ("\ufeff", "a byte-order mark"))}
 
+
+def _block_construct(text: str):
+    """The _CONSTRUCTS problem of a block node; "?" is a key only before " " or the row's end."""
+    return None if text[0] == "?" and text[1:2] not in ("", " ") else _CONSTRUCTS.get(text[0])
+
+
 # a plain scalar starts with no indicator and no space, or with "-" before a
 # character that is neither space, ":" nor a flow indicator
 _INDICATORS = "-?:,[]{}#&*!|>'\"%@`"
@@ -502,7 +511,7 @@ class _LineReader:
         end = self.quoted(text, 0)[1] if text[0] in "'\"" else 0  # raises for an escape or a break
         colon = _VALUE.search(text[:end] + text[end:].partition(" #")[0], end)
         problem = (  # a key that starts with an indicator, holds ": ", is long or ends in " "
-            _CONSTRUCTS.get(text[0])
+            _block_construct(text)
             or colon and f"ncap does not read the key {text[: colon.start()]!r}"
             or first and "ncap does not read a scalar on a row of its own"  # below a key or "-"
         )
@@ -525,7 +534,7 @@ class _LineReader:
                 self.fail("ncap does not read text after a quoted scalar or flow collection", end)
             return value
         if first in _INDICATORS and (first != "-" or text[1:2] in _AFTER_DASH):
-            self.fail(_CONSTRUCTS.get(first) or f"ncap does not read a value starting {first!r}")
+            self.fail(_block_construct(text) or f"ncap does not read a value starting {first!r}")
         text = text.partition(" #")[0].rstrip(" ")
         colon = (text + " ").find(": ")  # a ": " or a ":" that ends the value
         if colon >= 0 and self.row[1]:  # after "- ", the key of a compact mapping

@@ -94,13 +94,18 @@ def _apply(plan, column: Sequence[float]) -> Iterator[float]:
     return map(truediv, column, repeat(scale))
 
 
+def _check_method(method) -> None:
+    """Raise DomainError for a method that is not a NormalizationMethod."""
+    if not isinstance(method, NormalizationMethod):
+        names = ", ".join(f"NormalizationMethod.{m.name}" for m in NormalizationMethod)
+        raise DomainError(f"not a normalization method: {method!r}; expected one of {names}")
+
+
 def normalize(column: Sequence[float], method: NormalizationMethod) -> NormalizedColumn:
     """Apply the named normalization technique to one column. A method that
     is not a NormalizationMethod, a value that is no finite real, or a sum,
     range or square beyond the largest float raises DomainError naming it."""
-    if not isinstance(method, NormalizationMethod):
-        names = ", ".join(f"NormalizationMethod.{m.name}" for m in NormalizationMethod)
-        raise DomainError(f"not a normalization method: {method!r}; expected one of {names}")
+    _check_method(method)
     try:
         plan = _plan(column, method)
     except OverflowError as exc:

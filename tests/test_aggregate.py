@@ -219,6 +219,21 @@ class TestScoreTable:
         with pytest.raises(DimensionError):
             score_table(resolved, WeightVector.uniform(1), [])
 
+    def test_repeated_method(self):
+        resolved = resolve_missing(make_matrix([[1]]), MissingValuePolicy.ERROR)
+        with pytest.raises(DimensionError) as raised:
+            score_table(resolved, WeightVector.uniform(1), ["max", "sum", "max"])
+        assert str(raised.value) == "methods named more than once: max"
+
+
+def test_weighted_sum_names_a_method_that_is_no_member():
+    with pytest.raises(DomainError) as raised:
+        weighted_sum(make_matrix([[1.0]]), WeightVector.uniform(1), "max")
+    assert str(raised.value) == (
+        "not a normalization method: 'max'; expected one of NormalizationMethod.MAX, "
+        "NormalizationMethod.SUM, NormalizationMethod.MAP, NormalizationMethod.ZSC"
+    )
+
 
 # ------------------------------------------------------------- properties
 

@@ -10,7 +10,6 @@ stderr.
 import os
 import random
 import signal
-import sys
 import threading
 
 import pytest
@@ -242,9 +241,7 @@ def test_a_child_with_wrong_output_gives_the_serial_result(monkeypatch, forced, 
         try:
             data = sent
             if isinstance(sent, int):
-                counts = [len(run(task)) for task in tasks]
-                data = b"".join(c.to_bytes(8, sys.byteorder) for c in counts)
-                data += bytes(8 * (sum(counts) + sent))
+                data = bytes(8 * (sum(len(run(task)) for task in tasks) + sent))
             os.write(write, data)
         finally:
             os._exit(code)
@@ -252,6 +249,29 @@ def test_a_child_with_wrong_output_gives_the_serial_result(monkeypatch, forced, 
     monkeypatch.setattr(_fork, "_child", child)
     assert outcome(lambda: score_table(matrix, weights, methods)) == serial
     assert forced
+
+
+@pytest.mark.parametrize(
+    "counts",
+    [(2, 1, 2, 3), (1, 2, 1, 2), (3, 1, 1, 1)],
+    ids=["child-tasks-differ-same-total", "child-tasks-longer", "parent-tasks-longer"],
+)
+def test_tasks_whose_float_counts_differ_give_the_serial_result(forced, capfd, counts):
+    """split takes tasks of one float count. Where a child's share could be
+    cut wrongly or not at all, every task runs in this process, in order."""
+    parent, runs = os.getpid(), []
+
+    def run(task):
+        if os.getpid() == parent:
+            runs.append(task)
+        return [task + k / 8 for k in range(counts[task])]
+
+    tasks = list(range(len(counts)))
+    got = _fork.split(tasks, run)
+    assert [list(values) for values in got] == [run(task) for task in tasks]
+    assert runs[-2 * len(tasks) : -len(tasks)] == tasks  # the serial path ran
+    assert len(forced) == 1
+    assert capfd.readouterr() == ("", "")
 
 
 def test_no_fork_while_a_second_thread_runs(monkeypatch, forks):

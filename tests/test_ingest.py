@@ -982,6 +982,9 @@ REFUSED = {
     "document_marker": ("...\n", "line 4, column 1: ncap does not read a document marker"),
     "directive": ("%TAG ! x\n", "line 4, column 1: ncap does not read a directive"),
     "question_key": ("? weights\n: {a: 1}\n", "line 4, column 1: ncap does not read a '?' key"),
+    "question_value": (
+        "    unit: ?x\n", "line 4, column 11: ncap does not read a value starting '?'"
+    ),
     "merge_key": (
         "weights: {<<: {a: 1}}\n",
         "line 4, column 11: ncap does not read '<<' unquoted: quote it, or write a decimal number",

@@ -174,11 +174,38 @@ def test_weight_vector_len_counts_weights():
         (NcapCoordinate("p0", 1, 0.5, "max"), {"x": 4}, DomainError),
         (NcapCoordinate("p0", 1, 0.5, "max"), {"y": float("nan")}, DomainError),
         (ScoreTable(("p0",), {"max": {"p0": 1.0}}), {"platforms": ("p1",)}, DimensionError),
+        (ScoreTable(("p0",), {"max": {"p0": 1.0}}), {"columns": {"m": {"p0": "x"}}}, DomainError),
         (MATRIX, {"platforms": ("p0", "p0")}, FormatError),
         (SPEC_A, {"encoding": {"X": -1}}, ConfigError),
+        (SPEC_A, {"direction": "more_is_better"}, ConfigError),
     ],
-    ids=["weights", "level", "score", "columns", "platforms", "encoding"],
+    ids=["weights", "level", "score", "columns", "text-score", "platforms", "encoding", "direction"],
 )
 def test_replace_checks_like_construction(record, change, error):
     with pytest.raises(error):
         record._replace(**change)
+
+
+@pytest.mark.parametrize(
+    "score, detail",
+    [
+        ("x", "score 'x' for platform 'a' under 'm' is no finite real"),
+        (10**400, f"score {10**400!r} for platform 'a' under 'm' is no finite real"),
+        (None, "score None for platform 'a' under 'm' is no finite real"),
+        (float("inf"), "non-finite score for 'a' under 'm'"),
+    ],
+    ids=["text", "huge-int", "none", "infinity"],
+)
+def test_score_table_names_a_score_that_is_no_finite_real(score, detail):
+    with pytest.raises(DomainError) as raised:
+        ScoreTable(("a",), {"m": {"a": score}})
+    assert str(raised.value) == detail
+
+
+@pytest.mark.parametrize("direction", ["more_is_better", None, 1])
+def test_feature_spec_takes_only_a_direction_member(direction):
+    with pytest.raises(ConfigError) as raised:
+        FeatureSpec("f", direction)
+    assert str(raised.value) == (
+        "feature 'f': direction must be one of: more_is_better, less_is_better"
+    )
