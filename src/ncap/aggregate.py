@@ -29,7 +29,8 @@ from operator import is_, is_not, mul, not_, truediv
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import (
-    DimensionError, DomainError, EmptyColumnError, MissingValueError, ProductDomainError
+    DimensionError, DomainError, EmptyColumnError, MissingValueError, ProductDomainError,
+    number_problem,
 )
 from .ingest import FeatureMatrix, ResolvedMatrix, _first_repeat, checked_make
 from .normalize import NormalizationMethod, _apply, _check_method, _plan
@@ -56,12 +57,9 @@ class WeightVector(_WeightVector):
         if not weights:
             raise DimensionError("weight vector must not be empty")
         for w in weights:
-            try:
-                valid = math.isfinite(w) and w >= 0
-            except (OverflowError, TypeError):  # an int beyond the float range, or no real
-                valid = False
-            if not valid:
+            if number_problem(w) is not None or w < 0:
                 raise DomainError(f"weights must be finite and non-negative, got {w!r}")
+        weights = tuple(map(float, weights))
         total = math.fsum(weights)
         if abs(total - 1.0) > 1e-9:
             raise DomainError(f"weights must sum to 1, got {total!r}")
@@ -69,22 +67,18 @@ class WeightVector(_WeightVector):
 
     @classmethod
     def uniform(cls, n: int) -> "WeightVector":
+        if not isinstance(n, int):
+            raise DimensionError(f"feature count n must be an int, got {n!r}")
         if n < 1:
             raise DimensionError("need at least one feature")
-        return cls((1.0 / n,) * n)
+        try:
+            return cls((1.0 / n,) * n)
+        except OverflowError:  # n beyond the float range, or longer than any tuple
+            raise DimensionError(f"feature count n={n!r} is too large") from None
 
     @classmethod
     def user_defined(cls, weights: Sequence[float]) -> "WeightVector":
-        return cls(tuple(map(_float_or_as_is, weights)))
-
-
-def _float_or_as_is(value):
-    """float(value), or the value itself where float() refuses it, for the
-    weight check to name."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        return value
+        return cls(tuple(weights))
 
 
 class _ScoreTable(NamedTuple):
@@ -99,17 +93,17 @@ class ScoreTable(_ScoreTable):
     _make = classmethod(checked_make)
 
     def __new__(cls, platforms: tuple[str, ...], columns: Mapping[str, Mapping[str, float]]):
+        if not isinstance(columns, Mapping):
+            raise DimensionError(f"score columns must be a mapping of methods, got {columns!r}")
         for method, column in columns.items():
-            if tuple(column) != platforms:
+            if not isinstance(column, Mapping) or tuple(column) != platforms:
                 raise DimensionError(f"score column {method!r} does not cover all platforms")
-            try:
-                for platform, score in column.items():
-                    if not math.isfinite(score):
-                        raise DomainError(f"non-finite score for {platform!r} under {method!r}")
-            except (OverflowError, TypeError):  # an int beyond the float range, or no real
-                raise DomainError(
-                    f"score {score!r} for platform {platform!r} under {method!r} is no finite real"
-                ) from None
+            for platform, score in column.items():
+                if number_problem(score) is not None:
+                    raise DomainError(
+                        f"score {score!r} for platform {platform!r} under {method!r} "
+                        "is no finite real"
+                    )
         return super().__new__(cls, platforms, columns)
 
     @property

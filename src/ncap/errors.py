@@ -1,4 +1,23 @@
-"""Exception hierarchy. Every failure surfaced by this package derives from NcapError."""
+"""Exception hierarchy. Every failure surfaced by this package derives from NcapError.
+
+``number_problem`` is the one rule for a finite real, which every record
+and ranking applies before it takes a number.
+"""
+
+import math
+
+
+def number_problem(value) -> str | None:
+    """None when ``value`` is a finite real, as math.isfinite reads it (a bool
+    is the int 0 or 1); otherwise the words that name what it is instead."""
+    try:
+        return None if math.isfinite(value) else "non-finite value"
+    except OverflowError:  # an int or a fraction beyond the float range
+        return "value beyond the float range"
+    except TypeError:
+        return "non-real value"
+    except ValueError:  # a signaling NaN Decimal, which float() refuses
+        return "non-finite value"
 
 
 class NcapError(Exception):

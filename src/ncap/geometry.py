@@ -18,7 +18,9 @@ from itertools import repeat
 from operator import neg, sub
 from typing import Collection, Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import DimensionError, DomainError, EmptyInputError, MethodMismatchError
+from .errors import (
+    DimensionError, DomainError, EmptyInputError, MethodMismatchError, number_problem
+)
 from .ingest import _first_repeat, checked_make, csv_text
 
 _VALID_LEVELS = (0.0, 1.0, 2.0, 3.0)
@@ -38,19 +40,11 @@ class NcapCoordinate(_NcapCoordinate):
     _make = classmethod(checked_make)
 
     def __new__(cls, platform: str, x: float, y: float, method: str):
-        try:  # a str or an int beyond the float range equals no level; isfinite refuses a complex
-            level = x in _VALID_LEVELS and math.isfinite(x)
-        except TypeError:
-            level = False
-        if not level:
+        if number_problem(x) is not None or x not in _VALID_LEVELS:
             raise DomainError(f"autonomy level must be one of 0..3, got {x!r}")
-        try:
-            finite = math.isfinite(y)
-        except (OverflowError, TypeError):  # an int beyond the float range, or no real
-            finite = False
-        if not finite:
+        if number_problem(y) is not None:
             raise DomainError(f"performance score must be finite, got {y!r}")
-        return super().__new__(cls, platform, x, y, method)
+        return super().__new__(cls, platform, float(x), float(y), method)
 
 
 class DistanceReport(NamedTuple):

@@ -32,6 +32,7 @@ from .errors import (
     FormatError,
     MissingValueError,
     NcapError,
+    number_problem,
 )
 from .level import LAYERS_ABOVE_PERCEPTION, CapabilityProfile
 
@@ -90,15 +91,11 @@ def csv_text(header: list[str], rows: Iterable[Iterable]) -> str:
 
 
 def _finite(value) -> float | None:
-    """A config value as a finite float, or None when it is not a plain
-    number. YAML booleans load as Python ints, but they are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A config value as a float, or None when it is no finite real or is a
+    bool. YAML booleans load as Python ints, but they are not numbers."""
+    if isinstance(value, bool) or number_problem(value) is not None:
         return None
-    try:
-        number = float(value)
-    except OverflowError:  # an int beyond the float range
-        return None
-    return number if math.isfinite(number) else None
+    return float(value)
 
 
 class Direction(Enum):
@@ -157,6 +154,8 @@ class FeatureSpec(_FeatureSpec):
             choices = ", ".join(member.value for member in Direction)
             raise ConfigError(f"feature {name!r}: direction must be one of: {choices}")
         if encoding is not None:
+            if not isinstance(encoding, Mapping):
+                raise ConfigError(f"feature {name!r}: encoding must be a mapping, got {encoding!r}")
             numbers = {}
             for token, value in encoding.items():
                 number = _finite(value)
@@ -209,15 +208,8 @@ class FeatureMatrix(_FeatureMatrix):
             except (ArithmeticError, TypeError):  # a huge int or a cell that is no number
                 pass
             for spec, cell in zip(features, row):  # name the first cell that is no finite real
-                try:
-                    if cell is None or math.isfinite(cell):
-                        continue
-                    problem = "non-finite value"
-                except OverflowError:
-                    problem = "value beyond the float range"
-                except TypeError:
-                    problem = "non-real value"
-                raise FormatError(f"{problem} {cell!r} at ({platform!r}, {spec.name!r})")
+                if cell is not None and (problem := number_problem(cell)):
+                    raise FormatError(f"{problem} {cell!r} at ({platform!r}, {spec.name!r})")
         return super().__new__(cls, platforms, features, values)
 
     @property

@@ -107,15 +107,15 @@ def normalize(column: Sequence[float], method: NormalizationMethod) -> Normalize
     range or square beyond the largest float raises DomainError naming it."""
     _check_method(method)
     try:
-        plan = _plan(column, method)
+        scaled = tuple(_apply(_plan(column, method), column))
     except OverflowError as exc:
         raise DomainError(f"eta_{method.value}: {exc}") from None
-    except TypeError:  # a value that is no real number, or a column that is no sequence
+    except TypeError:  # no real number, a Decimal beside a float, or a column that is no sequence
         values = enumerate(column if isinstance(column, (list, tuple)) else ())
         bad = (f"{v!r} at index {i}" for i, v in values if not isinstance(v, (int, float)))
         got = next(bad, repr(column))
         raise DomainError(f"eta_{method.value} requires real values; got {got}") from None
-    return NormalizedColumn(tuple(_apply(plan, column)), method)
+    return NormalizedColumn(scaled, method)
 
 
 def eta_max(column: Sequence[float]) -> NormalizedColumn:

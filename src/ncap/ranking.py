@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import add, eq, mod, mul
 from typing import Any, Iterable, Mapping, NamedTuple
 
-from .errors import DimensionError, DomainError, InsufficientMethodsError
+from .errors import DimensionError, DomainError, InsufficientMethodsError, number_problem
 
 
 class RankTable(NamedTuple):
@@ -60,12 +60,9 @@ class AgreementStats(NamedTuple):
 
 def rank_scores(scores: Mapping[str, float]) -> dict[str, int]:
     """Rank platforms by score, descending; exact score ties share a rank."""
-    try:
-        for platform, score in scores.items():
-            if not math.isfinite(score):
-                raise DomainError(f"non-finite score {score!r} for platform {platform!r}")
-    except (OverflowError, TypeError):  # an int beyond the float range, or no real number
-        raise DomainError(f"score {score!r} for platform {platform!r} is no finite real") from None
+    for platform, score in scores.items():
+        if number_problem(score) is not None:
+            raise DomainError(f"score {score!r} for platform {platform!r} is no finite real")
     # a platform's rank is the position of its score's first copy, best first
     first: dict[float, int] = {}
     for position, score in enumerate(sorted(scores.values(), reverse=True), 1):
@@ -157,7 +154,7 @@ def kendall_tau(a: Mapping[str, Any], b: Mapping[str, Any]) -> float:
         ys = _dense(list(map(b.__getitem__, a)))
         if all(map(eq, a.values(), a.values())) and all(map(eq, b.values(), b.values())):
             return _tau_b(xs, ys, _tied_pairs(xs), _tied_pairs(ys))
-    except TypeError:  # ranks that do not compare
+    except (TypeError, ArithmeticError):  # ranks that do not compare, as a Decimal and a NaN
         pass
     for platform, rank in (*a.items(), *b.items()):  # a NaN, unequal to itself, has no order
         if rank != rank or not isinstance(rank, (int, float)):

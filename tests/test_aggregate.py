@@ -70,15 +70,27 @@ class TestWeightVector:
             WeightVector.uniform(0)
         assert (raised.type, str(raised.value)) == (DimensionError, "need at least one feature")
 
+    @pytest.mark.parametrize("n", ["3", 2.5, 3.0, None])
+    def test_uniform_names_a_count_that_is_no_int(self, n):
+        with pytest.raises(DimensionError) as raised:
+            WeightVector.uniform(n)
+        assert str(raised.value) == f"feature count n must be an int, got {n!r}"
+
+    def test_uniform_refuses_a_count_beyond_any_tuple(self):
+        with pytest.raises(DimensionError) as raised:
+            WeightVector.uniform(10**400)
+        assert str(raised.value) == f"feature count n={10**400!r} is too large"
+
     @pytest.mark.parametrize(
         "build, value",
         [
+            (lambda: WeightVector.user_defined(["0.5", "0.5"]), "0.5"),  # numerals are no weights
             (lambda: WeightVector.user_defined(["a", 1]), "a"),  # which float() refuses
             (lambda: WeightVector.user_defined([10**400, 1]), 10**400),  # beyond the float range
             (lambda: WeightVector(("a",)), "a"),  # no real number
             (lambda: WeightVector((1j,)), 1j),
         ],
-        ids=["str_to_user_defined", "huge_int", "str", "complex"],
+        ids=["numeral_to_user_defined", "str_to_user_defined", "huge_int", "str", "complex"],
     )
     def test_a_weight_that_is_no_finite_real_is_named(self, build, value):
         with pytest.raises(DomainError) as raised:

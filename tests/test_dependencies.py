@@ -57,6 +57,37 @@ def test_no_module_imports_yaml():
     assert found == []
 
 
+# the functions that may read math.isfinite: the one rule for a finite real,
+# and the C-level passes that send a value they doubt on to that rule
+ISFINITE_READERS = {
+    "errors.number_problem",
+    "ingest.FeatureMatrix.__new__",
+    "normalize._plan",
+    "cli._json_value",
+}
+
+
+def test_only_number_problem_decides_a_finite_real():
+    """A hand-rolled ``try: math.isfinite(v) ... except`` elsewhere would be a
+    second copy of errors.number_problem, free to drift from it."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "isfinite":
+                found.add(".".join(scope))
+            elif isinstance(child, ast.alias) and child.name == "isfinite":
+                found.add(f"{scope[0]}: import of isfinite")
+            visit(child, scope)
+
+    for path in sorted((SRC / "ncap").rglob("*.py")):
+        visit(ast.parse(path.read_text("utf-8")), [path.stem])
+    assert found == ISFINITE_READERS
+
+
 def test_import_ncap_loads_neither_scipy_nor_numpy():
     probe = (
         "import sys, ncap; "

@@ -192,13 +192,51 @@ def test_replace_checks_like_construction(record, change, error):
         ("x", "score 'x' for platform 'a' under 'm' is no finite real"),
         (10**400, f"score {10**400!r} for platform 'a' under 'm' is no finite real"),
         (None, "score None for platform 'a' under 'm' is no finite real"),
-        (float("inf"), "non-finite score for 'a' under 'm'"),
+        (float("inf"), "score inf for platform 'a' under 'm' is no finite real"),
     ],
     ids=["text", "huge-int", "none", "infinity"],
 )
 def test_score_table_names_a_score_that_is_no_finite_real(score, detail):
     with pytest.raises(DomainError) as raised:
         ScoreTable(("a",), {"m": {"a": score}})
+    assert str(raised.value) == detail
+
+
+@pytest.mark.parametrize(
+    "build, error, detail",
+    [
+        (
+            lambda: FeatureSpec("f", Direction.MORE_IS_BETTER, "", [1]),
+            ConfigError,
+            "feature 'f': encoding must be a mapping, got [1]",
+        ),
+        (
+            lambda: SPEC_A._replace(encoding="X"),
+            ConfigError,
+            "feature 'a': encoding must be a mapping, got 'X'",
+        ),
+        (
+            lambda: ScoreTable(("a",), None),
+            DimensionError,
+            "score columns must be a mapping of methods, got None",
+        ),
+        (
+            lambda: ScoreTable(("a",), {"m": {"a": 1.0}})._replace(columns=[("m", 1.0)]),
+            DimensionError,
+            "score columns must be a mapping of methods, got [('m', 1.0)]",
+        ),
+        (
+            lambda: ScoreTable(("a",), {"m": ["a"]}),
+            DimensionError,
+            "score column 'm' does not cover all platforms",
+        ),
+    ],
+    ids=["encoding", "replaced-encoding", "columns", "replaced-columns", "column"],
+)
+def test_a_field_that_is_no_mapping_is_named(build, error, detail):
+    """Each was a bare AttributeError from calling .items() on the value."""
+    with pytest.raises(error) as raised:
+        build()
     assert str(raised.value) == detail
 
 
